@@ -6,7 +6,6 @@ from .analysis import (
     fidelity_series,
     frame_rotation,
     qubit_dm_from_flat,
-    reduce_qubits,
     rotating_frame,
     rotation_frequencies,
 )
@@ -25,14 +24,12 @@ from .liouvillian import (
 from .model import (
     GAMMA0_UNIT,
     ModelParams,
-    QubitConfig,
     Scenario,
     apply_scenario,
     config_energy,
-    flip,
     flip_index,
 )
-from .rates import BarrierRates, RateTable, barrier_rates, qubit_branch_rate, rate_table
+from .rates import RateTable, rate_table
 from .states import make_bell, make_df4, parse_custom, state_by_name, to_density
 
 __version__ = "0.1.0"
@@ -42,17 +39,14 @@ __all__ = [
     "DEFAULT_DT",
     "SECTORS_FULL",
     "SECTORS_REDUCED",
-    "BarrierRates",
     "Generator",
     "ModelParams",
-    "QubitConfig",
     "RateTable",
     "Scenario",
     "SectorDM",
     "Trajectory",
     "apply_scenario",
     "assemble",
-    "barrier_rates",
     "baseline_fidelity",
     "collective_dephasing_step",
     "config_energy",
@@ -61,16 +55,13 @@ __all__ = [
     "fidelity",
     "fidelity_series",
     "flat_index",
-    "flip",
     "flip_index",
     "frame_rotation",
     "make_bell",
     "make_df4",
     "parse_custom",
-    "qubit_branch_rate",
     "qubit_dm_from_flat",
     "rate_table",
-    "reduce_qubits",
     "reduce_spin_symmetric",
     "rotating_frame",
     "rotation_frequencies",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .liouvillian import SectorDM
 from .model import ModelParams
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -12,11 +11,6 @@ _I2 = np.eye(2, dtype=np.complex128)
 
 _IMAG_TOL = 1e-10
 _TRACE_TOL = 1e-6
-
-
-def reduce_qubits(v: SectorDM) -> np.ndarray:
-    """Qubit density matrix: the sum of the island-sector matrices."""
-    return v.qubit_dm()
 
 
 def qubit_dm_from_flat(vec: np.ndarray, n_qubits: int, n_sectors: int) -> np.ndarray:

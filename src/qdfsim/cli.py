@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +38,10 @@ FIGURES = ("fig2", "fig3a", "fig3b", "fig4a", "fig4b")
 def _max_workers() -> int:
     raw = os.environ.get("QDF_THREADS", "")
     if raw.strip():
-        return max(1, int(raw))
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise ConfigError(f"QDF_THREADS: expected an integer, got {raw!r}") from None
     return min(2, os.cpu_count() or 1)
 
 
@@ -79,10 +83,21 @@ def _expect(value, kinds, path: str):
     return value
 
 
+def _reject_constant(name: str) -> float:
+    raise ConfigError(f"config: non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config: number {text} is out of range")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration; unknown fields are errors."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -142,6 +157,10 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"zeta: must lie in [0, 1), got {cfg.zeta}")
     if not 0.0 <= cfg.eta < 1.0:
         raise ConfigError(f"eta: must lie in [0, 1), got {cfg.eta}")
+    if cfg.eta > 0.0 and cfg.scenario in ("uniform", "custom"):
+        raise ConfigError(
+            f"eta: scenario {cfg.scenario!r} names no affected qubits, so eta must be 0"
+        )
     if cfg.dt <= 0 or cfg.t_end < 0 or cfg.sample_interval <= 0:
         raise ConfigError("t_end/dt/sample_interval: must be positive")
 

@@ -8,28 +8,35 @@ state is carried by four matrices over configuration pairs (z1, z2):
 * ``rho_b_up`` / ``rho_b_dn`` -- singly occupied island,
 * ``rho_c``   -- doubly occupied island.
 
-For every pair (z1, z2) the coupled equations read (D = 2^N, rates from the
-configuration rate table, ``g_j`` = flip of qubit j, ``E_z`` the diagonal
-configuration energy)::
+Every sector obeys one equation (D = 2^N configurations, ``o`` the
+elementwise product)::
 
-    d a[z1,z2]/dt  = (i(E_z2 - E_z1) - (GL[z1] + GL[z2])) a[z1,z2]
-                     - i sum_j omega_j (a[g_j z1, z2] - a[z1, g_j z2])
-                     + sqrt(GR[z1] GR[z2]) (b_up[z1,z2] + b_dn[z1,z2])
+    d rho_s/dt = -i [H, rho_s] + sum_s' K_ss' o rho_s'
 
-    d b_s[z1,z2]/dt = (i(E_z2 - E_z1)
-                       - (GL'[z1] + GL'[z2] + GR[z1] + GR[z2]) / 2) b_s[z1,z2]
-                     - i sum_j omega_j (b_s[g_j z1, z2] - b_s[z1, g_j z2])
-                     + sqrt(GL[z1] GL[z2]) a[z1,z2]
-                     + sqrt(GR'[z1] GR'[z2]) c[z1,z2]
+with the qubit Hamiltonian ``H = diag(E) + sum_j omega_j X_j`` (``E_z`` the
+diagonal configuration energy, ``X_j`` the flip of qubit j) and D x D rate
+matrices built from the configuration rate table (GL, GR and their primed
+values); ``b`` is either spin sector, and the two never couple::
 
-    d c[z1,z2]/dt  = (i(E_z2 - E_z1) - (GR'[z1] + GR'[z2])) c[z1,z2]
-                     - i sum_j omega_j (c[g_j z1, z2] - c[z1, g_j z2])
-                     + sqrt(GL'[z1] GL'[z2]) (b_up[z1,z2] + b_dn[z1,z2])
+    K_aa = -(GL (+) GL)                    K_ab = sqrt(GR) sqrt(GR)^T
+    K_bb = -(GL' (+) GL' + GR (+) GR) / 2  K_ba = sqrt(GL) sqrt(GL)^T
+                                           K_bc = sqrt(GR') sqrt(GR')^T
+    K_cc = -(GR' (+) GR')                  K_cb = sqrt(GL') sqrt(GL')^T
 
-The island is spin degenerate and the equations never distinguish the two
-one-electron spin sectors, so for spin-symmetric initial data the evolution
-closes on (a, b_up + b_dn, c); ``reduce_spin_symmetric`` builds that
-three-sector generator (768 coupled equations for four qubits).
+where ``(u (+) v)[z1, z2] = u[z1] + v[z2]``.  ``assemble`` writes exactly
+that.  With the row-major identity ``vec(A rho B) = (A (x) B^T) vec rho`` and
+H real symmetric, the commutator is ``-i (H (x) I - I (x) H)`` on every
+sector; the rates are one 4 x 4 block table of ``diag(K_ss'.ravel())``
+blocks.
+
+The island is spin degenerate, so the evolution closes on
+(a, b_up + b_dn, c).  ``reduce_spin_symmetric`` builds that three-sector
+generator (768 coupled equations for four qubits) as the projection
+``P L E``: ``P`` sums the b_up and b_dn rows, and ``E`` embeds the reduced b
+as an even split.  Both spin rows gain ``K_ba o a``, so the reduced b row
+gains ``2 K_ba o a`` (and ``2 K_bc o c``); that is the factor 2 on the
+reduced b gains.  The a row gains ``K_ab o (b/2)`` from each spin sector,
+which sums to the plain ``K_ab o b``, and likewise for c.
 
 Flat layout (the contract shared with the integrator and the exact-exponential
 oracle): sector-major, then z1-major, z2-minor::
@@ -39,14 +46,14 @@ oracle): sector-major, then z1-major, z2-minor::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ModelParams, config_energy, flip_index
-from .rates import RateTable, rate_table
+from .model import ModelParams, config_energy
+from .rates import rate_table
 
 SECTORS_FULL = ("a", "b_up", "b_dn", "c")
 SECTORS_REDUCED = ("a", "b", "c")
@@ -139,18 +146,15 @@ class SectorDM:
 class Generator:
     """Sparse time-independent generator L with d(vec rho)/dt = L . vec rho.
 
-    Entries are stored as parallel (row, col, value) arrays sorted by
-    (row, col) with duplicates merged and exact zeros dropped, so assembly is
-    deterministic.  The object is immutable by convention and safe to share;
-    concurrent :meth:`apply` calls on distinct vectors are fine.
+    ``csr`` is canonical: complex, sorted column indices, no duplicates and
+    no explicit zeros, so construction is deterministic.  The object is
+    immutable by convention and safe to share; concurrent :meth:`apply` calls
+    on distinct vectors are fine.
     """
 
     n_qubits: int
     sectors: tuple[str, ...]
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    _matrix: sp.csr_matrix | None = field(default=None, repr=False)
+    csr: sp.csr_matrix
 
     @property
     def dim(self) -> int:
@@ -158,34 +162,25 @@ class Generator:
 
     @property
     def nnz(self) -> int:
-        return len(self.vals)
+        return self.csr.nnz
 
     def matrix(self) -> sp.csr_matrix:
-        """CSR form of the entry list (cached)."""
-        if self._matrix is None:
-            self._matrix = sp.csr_matrix(
-                (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
-            )
-        return self._matrix
+        return self.csr
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Exact sparse product L @ v (row-wise, fixed summation order)."""
         if v.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: generator {self.dim}, vector {v.shape[0]}")
-        return self.matrix() @ v
+        return self.csr @ v
 
     def as_dense(self) -> np.ndarray:
-        return self.matrix().toarray()
+        return self.csr.toarray()
 
     def entries(self) -> Iterator[tuple[int, int, complex]]:
-        yield from zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist())
-
-    def trace_rows(self) -> np.ndarray:
-        """Flat indices whose sum is the total trace (all (sector, z, z) rows)."""
-        d = 2**self.n_qubits
-        return np.array(
-            [flat_index(s, z, z, self.n_qubits) for s in range(len(self.sectors)) for z in range(d)]
-        )
+        """(row, col, value) triples in (row, col) order."""
+        m = self.csr
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        yield from zip(rows.tolist(), m.indices.tolist(), m.data.tolist())
 
     def dump(self) -> str:
         """Debug text form: one line per entry, sorted lexicographically.
@@ -205,72 +200,54 @@ class Generator:
         return "\n".join(sorted(lines)) + "\n"
 
 
-def _finalize_entries(
-    n_qubits: int, sectors: tuple[str, ...], acc: dict[tuple[int, int], complex]
-) -> Generator:
-    items = sorted((rc, v) for rc, v in acc.items() if v != 0.0)
-    rows = np.array([rc[0] for rc, _ in items], dtype=np.int64)
-    cols = np.array([rc[1] for rc, _ in items], dtype=np.int64)
-    vals = np.array([v for _, v in items], dtype=np.complex128)
-    return Generator(n_qubits, sectors, rows, cols, vals)
+def _canonical(n_qubits: int, sectors: tuple[str, ...], m: sp.spmatrix) -> Generator:
+    """Generator on the canonical complex CSR form of m, checked for trace preservation."""
+    csr = m.tocsr().astype(np.complex128)
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    g = Generator(n_qubits, sectors, csr)
+    defect = trace_violation(g)
+    if defect > _TRACE_TOL:
+        raise ValueError(
+            f"generator is not trace preserving: defect {defect:.3e} > {_TRACE_TOL:.1e}"
+        )
+    return g
 
 
-def assemble(p: ModelParams, rates: RateTable | None = None) -> Generator:
+def assemble(p: ModelParams) -> Generator:
     """Assemble the full four-sector generator from the model parameters."""
     n = p.n_qubits
     d = 2**n
-    if rates is None:
-        rates = rate_table(p)
+    rates = rate_table(p)
     gl, gr = rates.gamma_L, rates.gamma_R
     glp, grp = rates.gamma_L_primed, rates.gamma_R_primed
-    energy = np.array([config_energy(z, p) for z in range(d)])
-    sqrt_gl = np.sqrt(gl)
-    sqrt_gr = np.sqrt(gr)
-    sqrt_glp = np.sqrt(glp)
-    sqrt_grp = np.sqrt(grp)
 
-    A, BU, BD, C = 0, 1, 2, 3
-    acc: dict[tuple[int, int], complex] = {}
+    z = np.arange(d)
+    h = np.diag([config_energy(k, p) for k in range(d)])
+    for j, w in enumerate(p.omega):
+        h[z, z ^ (1 << j)] += w
+    h = sp.csr_matrix(h)
+    eye = sp.identity(d, format="csr")
+    coherent = -1j * (sp.kron(h, eye) - sp.kron(eye, h))
 
-    def add(row: int, col: int, v: complex) -> None:
-        acc[(row, col)] = acc.get((row, col), 0.0) + v
+    def gain(rate: np.ndarray) -> np.ndarray:
+        return np.outer(np.sqrt(rate), np.sqrt(rate))
 
-    def fi(s: int, z1: int, z2: int) -> int:
-        return (s * d + z1) * d + z2
+    def ksum(rate: np.ndarray) -> np.ndarray:
+        return rate[:, None] + rate[None, :]
 
-    for z1 in range(d):
-        for z2 in range(d):
-            phase = 1j * (energy[z2] - energy[z1])
-            # empty island: loses through the left barrier, fed from either
-            # one-electron sector through the right one
-            r = fi(A, z1, z2)
-            add(r, r, phase - (gl[z1] + gl[z2]))
-            add(r, fi(BU, z1, z2), sqrt_gr[z1] * sqrt_gr[z2])
-            add(r, fi(BD, z1, z2), sqrt_gr[z1] * sqrt_gr[z2])
-            # one electron of either spin on the island
-            for s in (BU, BD):
-                r = fi(s, z1, z2)
-                add(r, r, phase - 0.5 * (glp[z1] + glp[z2] + gr[z1] + gr[z2]))
-                add(r, fi(A, z1, z2), sqrt_gl[z1] * sqrt_gl[z2])
-                add(r, fi(C, z1, z2), sqrt_grp[z1] * sqrt_grp[z2])
-            # doubly occupied island: primed rates throughout
-            r = fi(C, z1, z2)
-            add(r, r, phase - (grp[z1] + grp[z2]))
-            add(r, fi(BU, z1, z2), sqrt_glp[z1] * sqrt_glp[z2])
-            add(r, fi(BD, z1, z2), sqrt_glp[z1] * sqrt_glp[z2])
-            # coherent flips act identically in every sector
-            for s in (A, BU, BD, C):
-                r = fi(s, z1, z2)
-                for j in range(1, n + 1):
-                    w = p.omega[j - 1]
-                    if w == 0.0:
-                        continue
-                    add(r, fi(s, flip_index(z1, j, n), z2), -1j * w)
-                    add(r, fi(s, z1, flip_index(z2, j, n)), +1j * w)
-
-    g = _finalize_entries(n, SECTORS_FULL, acc)
-    check_trace_preserving(g)
-    return g
+    # summed left to right, GL'[z1] + GL'[z2] + GR[z1] + GR[z2], so every bit of
+    # the b loss is reproducible against the written equations
+    loss_b = -0.5 * (glp[:, None] + glp[None, :] + gr[:, None] + gr[None, :])
+    table = [
+        [-ksum(gl), gain(gr), gain(gr), None],
+        [gain(gl), loss_b, None, gain(grp)],
+        [gain(gl), None, loss_b, gain(grp)],
+        [None, gain(glp), gain(glp), -ksum(grp)],
+    ]
+    blocks = [[None if k is None else sp.diags(k.ravel()) for k in row] for row in table]
+    m = sp.kron(sp.identity(len(SECTORS_FULL)), coherent) + sp.bmat(blocks)
+    return _canonical(n, SECTORS_FULL, m)
 
 
 def reduce_spin_symmetric(g: Generator) -> Generator:
@@ -279,26 +256,17 @@ def reduce_spin_symmetric(g: Generator) -> Generator:
     Valid because the model never distinguishes the island spin: the full
     generator commutes with the b_up <-> b_dn swap, so the projection
     pi(v) = (a, b_up + b_dn, c) intertwines the two evolutions exactly for
-    every vector, not just symmetric ones.
+    every vector, not just symmetric ones.  The reduced generator is
+    ``P L E`` with ``P = pi`` and ``E`` the even split of b, a right inverse
+    of ``P``.
     """
     if g.sectors != SECTORS_FULL:
         raise ValueError("reduce_spin_symmetric expects the full four-sector generator")
-    n = g.n_qubits
-    d2 = 4**n
-    # full sector -> (reduced sector, row weight, column weight); the row map
-    # sums the two b sectors, the column map embeds b as an even split.
-    sector_map = {0: 0, 1: 1, 2: 1, 3: 2}
-    col_weight = {0: 1.0, 1: 0.5, 2: 0.5, 3: 1.0}
-    acc: dict[tuple[int, int], complex] = {}
-    for r, c, v in g.entries():
-        sr, pr = divmod(r, d2)
-        sc, pc = divmod(c, d2)
-        rr = sector_map[sr] * d2 + pr
-        cc = sector_map[sc] * d2 + pc
-        acc[(rr, cc)] = acc.get((rr, cc), 0.0) + v * col_weight[sc]
-    red = _finalize_entries(n, SECTORS_REDUCED, acc)
-    check_trace_preserving(red)
-    return red
+    fold = np.array([[1.0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+    split = fold.T * np.array([[1.0], [0.5], [0.5], [1.0]])
+    eye = sp.identity(4**g.n_qubits, format="csr")
+    m = sp.kron(fold, eye, format="csr") @ g.csr @ sp.kron(split, eye, format="csr")
+    return _canonical(g.n_qubits, SECTORS_REDUCED, m)
 
 
 def trace_violation(g: Generator) -> float:
@@ -307,12 +275,8 @@ def trace_violation(g: Generator) -> float:
     Identically zero for a correctly assembled generator: the inter-sector
     gain/loss terms cancel exactly and the coherent flips are commutators.
     """
-    m = g.matrix()
-    col_sums = np.asarray(m[g.trace_rows(), :].sum(axis=0)).ravel()
+    d = 2**g.n_qubits
+    # flat indices of every (sector, z, z) entry: their sum is the total trace
+    trace_rows = np.arange(len(g.sectors))[:, None] * d * d + np.arange(d) * (d + 1)
+    col_sums = np.asarray(g.csr[trace_rows.ravel(), :].sum(axis=0)).ravel()
     return float(np.abs(col_sums).max())
-
-
-def check_trace_preserving(g: Generator, tol: float = _TRACE_TOL) -> None:
-    v = trace_violation(g)
-    if v > tol:
-        raise ValueError(f"generator is not trace preserving: defect {v:.3e} > {tol:.1e}")

@@ -3,9 +3,9 @@
 Conventions used throughout the package:
 
 * Qubit indices are 1-based (qubit ``1 .. N``).
-* A joint configuration of N qubits is a tuple of sigma-z eigenvalues
+* A joint configuration of N qubits assigns each qubit a sigma-z eigenvalue
   ``s_i`` in {-1, +1}; ``-1`` is "down", ``+1`` is "up".
-* Configurations map bijectively onto integers ``0 .. 2^N - 1``: qubit ``i``
+* Configurations are integer indices ``0 .. 2^N - 1``: qubit ``i``
   occupies bit ``i - 1`` and a down spin maps to a 0 bit.  Qubit 1 therefore
   varies fastest, and all tensor products elsewhere in the package place
   qubit 1 innermost.
@@ -17,10 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Iterable
-
-# Two-qubit pair labels in increasing configuration order of (lower, upper)
-# qubit: A = down/down, B = down/up, C = up/down, D = up/up.
-_PAIR_LETTERS = ("A", "C", "B", "D")  # indexed by bit pair (low bit = lower qubit)
 
 GAMMA0_UNIT = 1.0
 
@@ -35,74 +31,8 @@ CASE_AFFECTED = {
 }
 
 
-@dataclass(frozen=True)
-class QubitConfig:
-    """Classical joint sigma-z configuration of N qubits.
-
-    Immutable value type; safe to share between threads.
-    """
-
-    spins: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.spins:
-            raise ValueError("configuration must contain at least one qubit")
-        if any(s not in (-1, 1) for s in self.spins):
-            raise ValueError(f"spins must be -1 or +1, got {self.spins}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.spins)
-
-    @property
-    def index(self) -> int:
-        """Integer index of this configuration (qubit i is bit i-1, down -> 0)."""
-        idx = 0
-        for i, s in enumerate(self.spins):
-            if s == 1:
-                idx |= 1 << i
-        return idx
-
-    @classmethod
-    def from_index(cls, index: int, n_qubits: int) -> "QubitConfig":
-        if not 0 <= index < 2**n_qubits:
-            raise ValueError(f"index {index} out of range for {n_qubits} qubits")
-        return cls(tuple(1 if (index >> i) & 1 else -1 for i in range(n_qubits)))
-
-    def flip(self, j: int) -> "QubitConfig":
-        """Return the configuration with the spin of qubit j (1-based) negated."""
-        if not 1 <= j <= self.n_qubits:
-            raise ValueError(f"qubit index {j} out of range 1..{self.n_qubits}")
-        spins = list(self.spins)
-        spins[j - 1] = -spins[j - 1]
-        return QubitConfig(tuple(spins))
-
-    @property
-    def label(self) -> str:
-        """Letter label: A..D per adjacent qubit pair ((1,2), (3,4), ...).
-
-        Defined for even N; odd N falls back to a +/- string.
-        """
-        n = self.n_qubits
-        if n % 2:
-            return "".join("+" if s == 1 else "-" for s in self.spins)
-        idx = self.index
-        letters = []
-        for p in range(n // 2):
-            letters.append(_PAIR_LETTERS[(idx >> (2 * p)) & 0b11])
-        return "".join(letters)
-
-    def __str__(self) -> str:
-        return self.label
-
-
-def flip(z: QubitConfig, j: int) -> QubitConfig:
-    """Single-qubit spin flip of qubit j; an involution on configurations."""
-    return z.flip(j)
-
-
 def flip_index(z: int, j: int, n_qubits: int) -> int:
-    """Index-level flip of qubit j (1-based); fast path for table building."""
+    """Flip of qubit j (1-based); an involution on configuration indices."""
     if not 1 <= j <= n_qubits:
         raise ValueError(f"qubit index {j} out of range 1..{n_qubits}")
     return z ^ (1 << (j - 1))
@@ -233,22 +163,6 @@ class Scenario:
             raise ValueError(f"unknown scenario {name!r}")
         return cls(name, CASE_AFFECTED[name], float(eta))
 
-    @classmethod
-    def uniform(cls) -> "Scenario":
-        return cls("uniform", frozenset(), 0.0)
-
-    @classmethod
-    def case_i(cls, eta: float) -> "Scenario":
-        return cls("case_i", CASE_AFFECTED["case_i"], float(eta))
-
-    @classmethod
-    def case_ii(cls, eta: float) -> "Scenario":
-        return cls("case_ii", CASE_AFFECTED["case_ii"], float(eta))
-
-    @classmethod
-    def case_iii(cls, eta: float) -> "Scenario":
-        return cls("case_iii", CASE_AFFECTED["case_iii"], float(eta))
-
 
 def apply_scenario(base: ModelParams, scenario: Scenario) -> ModelParams:
     """Return a copy of ``base`` with the scenario's deviations applied.
@@ -286,17 +200,16 @@ def apply_scenario(base: ModelParams, scenario: Scenario) -> ModelParams:
     )
 
 
-def config_energy(z: QubitConfig | int, p: ModelParams) -> float:
+def config_energy(z: int, p: ModelParams) -> float:
     """Diagonal qubit energy of configuration z.
 
     Evaluates ``sum_i epsilon_i s_i + sum_i J_{i,i+1} s_i s_{i+1}``, i.e. the
     diagonal of the qubit Hamiltonian in the configuration basis.
     """
     n = p.n_qubits
-    idx = z.index if isinstance(z, QubitConfig) else int(z)
-    if not 0 <= idx < 2**n:
-        raise ValueError(f"configuration index {idx} out of range for {n} qubits")
-    s = [1.0 if (idx >> i) & 1 else -1.0 for i in range(n)]
+    if not 0 <= z < 2**n:
+        raise ValueError(f"configuration index {z} out of range for {n} qubits")
+    s = [1.0 if (z >> i) & 1 else -1.0 for i in range(n)]
     e = sum(p.epsilon[i] * s[i] for i in range(n))
     e += sum(p.j_coupling[i] * s[i] * s[i + 1] for i in range(n - 1))
     return e

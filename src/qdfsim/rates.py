@@ -14,52 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, QubitConfig
-
-
-@dataclass(frozen=True)
-class BarrierRates:
-    """The four effective rates of one configuration: left/right, unprimed/primed."""
-
-    gamma_L: float
-    gamma_R: float
-    gamma_L_primed: float
-    gamma_R_primed: float
-
-    def __post_init__(self) -> None:
-        for name in ("gamma_L", "gamma_R", "gamma_L_primed", "gamma_R_primed"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
-def qubit_branch_rate(i: int, s: int, p: ModelParams) -> float:
-    """Branch rate of qubit i (1-based) for spin s in {-1, +1}."""
-    if not 1 <= i <= p.n_qubits:
-        raise ValueError(f"qubit index {i} out of range 1..{p.n_qubits}")
-    if s not in (-1, 1):
-        raise ValueError(f"spin must be -1 or +1, got {s}")
-    rate = p.gamma0[i - 1] + s * p.delta_gamma[i - 1]
-    if rate <= 0.0:
-        raise ValueError(f"branch rate of qubit {i} non-positive: {rate}")
-    return rate
-
-
-def _series_rate(z_index: int, qubits: frozenset[int], p: ModelParams) -> float:
-    if not qubits:
-        raise ValueError("barrier has no qubits assigned")
-    inv = 0.0
-    for i in sorted(qubits):
-        s = 1 if (z_index >> (i - 1)) & 1 else -1
-        inv += 1.0 / qubit_branch_rate(i, s, p)
-    return 1.0 / inv
-
-
-def barrier_rates(z: QubitConfig | int, p: ModelParams) -> BarrierRates:
-    """Effective (left, right, left-primed, right-primed) rates at configuration z."""
-    idx = z.index if isinstance(z, QubitConfig) else int(z)
-    gl = _series_rate(idx, p.left_barrier, p)
-    gr = _series_rate(idx, p.right_barrier, p)
-    return BarrierRates(gl, gr, p.primed_scale * gl, p.primed_scale * gr)
+from .model import ModelParams
 
 
 @dataclass(frozen=True)
@@ -75,12 +30,22 @@ class RateTable:
     gamma_R_primed: np.ndarray
 
 
+def _series_rates(qubits: frozenset[int], p: ModelParams) -> np.ndarray:
+    """Harmonic sum of the branch rates of ``qubits`` for every configuration.
+
+    Qubits are summed in ascending order, so the result does not depend on
+    set iteration order.  ``ModelParams`` guarantees positive branch rates.
+    """
+    z = np.arange(2**p.n_qubits)
+    inv = np.zeros(len(z))
+    for i in sorted(qubits):
+        spin = np.where((z >> (i - 1)) & 1, 1.0, -1.0)
+        inv += 1.0 / (p.gamma0[i - 1] + spin * p.delta_gamma[i - 1])
+    return 1.0 / inv
+
+
 def rate_table(p: ModelParams) -> RateTable:
     """Tabulate barrier rates over all 2^N configurations."""
-    d = 2**p.n_qubits
-    gl = np.empty(d)
-    gr = np.empty(d)
-    for z in range(d):
-        gl[z] = _series_rate(z, p.left_barrier, p)
-        gr[z] = _series_rate(z, p.right_barrier, p)
+    gl = _series_rates(p.left_barrier, p)
+    gr = _series_rates(p.right_barrier, p)
     return RateTable(gl, gr, p.primed_scale * gl, p.primed_scale * gr)

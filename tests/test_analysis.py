@@ -6,7 +6,6 @@ from qdfsim.analysis import (
     fidelity_series,
     frame_rotation,
     qubit_dm_from_flat,
-    reduce_qubits,
     rotating_frame,
     rotation_frequencies,
 )
@@ -20,12 +19,12 @@ class TestReduce:
     def test_initial_state_is_projector(self):
         amps = make_df4("psi2")
         sdm = to_density(amps)
-        assert np.allclose(reduce_qubits(sdm), np.outer(amps, amps.conj()), atol=1e-15)
+        assert np.allclose(sdm.qubit_dm(), np.outer(amps, amps.conj()), atol=1e-15)
 
     def test_from_flat_reduced_counts_b_once(self):
         sdm = to_density(make_bell("c"))
         flat = sdm.flatten(SECTORS_REDUCED)
-        assert np.allclose(qubit_dm_from_flat(flat, 2, 3), reduce_qubits(sdm), atol=1e-15)
+        assert np.allclose(qubit_dm_from_flat(flat, 2, 3), sdm.qubit_dm(), atol=1e-15)
 
     def test_trace_one_along_trajectory(self):
         p = ModelParams.uniform(2, zeta=0.6)

@@ -56,6 +56,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="eta"):
             parse_config('{"eta": -0.2}')
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dt": NaN}', '{"omega": Infinity}', '{"zeta": -Infinity}', '{"omega": 1e999}'],
+        ids=["nan", "inf", "minus_inf", "overflow"],
+    )
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(ConfigError, match="config: "):
+            parse_config(text)
+
+    @pytest.mark.parametrize("scenario", ["uniform", "custom"])
+    def test_eta_needs_affected_qubits(self, scenario):
+        # neither scenario names affected qubits, so eta would be dropped
+        with pytest.raises(ConfigError, match="eta"):
+            parse_config(f'{{"scenario": "{scenario}", "eta": 0.05}}')
+        assert parse_config(f'{{"scenario": "{scenario}", "eta": 0.0}}').eta == 0.0
+
+    def test_thread_count_must_be_integer(self, monkeypatch):
+        from qdfsim.cli import _max_workers
+
+        monkeypatch.setenv("QDF_THREADS", "abc")
+        with pytest.raises(ConfigError, match="QDF_THREADS"):
+            _max_workers()
+
     def test_roundtrip_idempotent(self):
         text = '{"n_qubits": 2, "state": "bell-b", "zeta": 0.6, "epsilon": [0.1, 0.2]}'
         once = serialize_config(parse_config(text))
@@ -145,6 +168,24 @@ class TestCommands:
         cfg_file.write_text('{"no_such_field": 1}')
         result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dt": NaN}', '{"omega": Infinity}', '{"scenario": "custom", "eta": 0.05}'],
+        ids=["nan", "inf", "custom_eta"],
+    )
+    def test_bad_config_values_exit_two(self, tmp_path, text):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(text)
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
+    def test_bad_thread_count_exit_two(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QDF_THREADS", "abc")
+        result = CliRunner().invoke(main, ["figure", "fig2", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "QDF_THREADS" in result.output
 
     def test_baseline_command(self):
         result = CliRunner().invoke(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim.integrator import Trajectory, evolve_expm, evolve_rk4
@@ -121,10 +122,11 @@ class TestInternalRoutes:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_detection_reports_step(self):
         # a growing mode overflows quickly at this step size
-        rows = np.array([0, 0, 1, 1], dtype=np.int64)
-        cols = np.array([0, 1, 0, 1], dtype=np.int64)
-        vals = np.array([1e4, -1e4, -1e4, 1e4], dtype=complex)
-        g = Generator(1, ("a", "b", "c"), rows, cols, vals)
+        m = sp.csr_matrix(
+            (np.array([1e4, -1e4, -1e4, 1e4], dtype=complex), ([0, 0, 1, 1], [0, 1, 0, 1])),
+            shape=(12, 12),
+        )
+        g = Generator(1, ("a", "b", "c"), m)
         v0 = np.zeros(g.dim, complex)
         v0[0] = 1.0
         with pytest.raises(FloatingPointError, match="step"):
@@ -149,8 +151,7 @@ class TestExpmOracle:
         assert np.abs(rk4 - ref).max() < 1e-8
 
     def test_dimension_guard(self):
-        empty = np.array([], dtype=np.int64)
-        g = Generator(6, ("a", "b_up", "b_dn", "c"), empty, empty, np.array([], complex))
+        g = Generator(6, ("a", "b_up", "b_dn", "c"), sp.csr_matrix((16384, 16384), dtype=complex))
         assert g.dim == 16384
         with pytest.raises(ValueError):
             evolve_expm(g, np.zeros(g.dim, complex), 1.0)

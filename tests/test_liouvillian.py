@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -15,7 +16,7 @@ from qdfsim.liouvillian import (
     reduce_spin_symmetric,
     trace_violation,
 )
-from qdfsim.model import ModelParams
+from qdfsim.model import ModelParams, Scenario, apply_scenario
 from qdfsim.states import make_bell, make_df4, to_density
 
 
@@ -32,6 +33,18 @@ def nonuniform_params() -> ModelParams:
         left_barrier=frozenset({1}),
         right_barrier=frozenset({2}),
     )
+
+
+def case_ii_params() -> ModelParams:
+    """N=4 case ii (eta=0.05) with bias, coupling and primed rates != 1."""
+    base = ModelParams.uniform(
+        4,
+        zeta=0.2,
+        epsilon=[0.1, 0.2, -0.3, 0.05],
+        j_coupling=[0.1, -0.2, 0.15],
+        primed_scale=1.3,
+    )
+    return apply_scenario(base, Scenario.named("case_ii", 0.05))
 
 
 def dense_oracle(g: Generator) -> np.ndarray:
@@ -115,17 +128,19 @@ class TestSectorDM:
 class TestAssembly:
     def test_deterministic_and_sorted(self):
         p = ModelParams.uniform(2, zeta=0.2)
-        g1, g2 = assemble(p), assemble(p)
-        assert np.array_equal(g1.rows, g2.rows)
-        assert np.array_equal(g1.cols, g2.cols)
-        assert np.array_equal(g1.vals, g2.vals)
-        order = np.lexsort((g1.cols, g1.rows))
-        assert np.array_equal(order, np.arange(g1.nnz))
-        assert np.all(g1.vals != 0.0)
+        m1, m2 = assemble(p).matrix(), assemble(p).matrix()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(m1, attr), getattr(m2, attr))
+        assert m1.has_sorted_indices
+        rows = np.repeat(np.arange(m1.shape[0]), np.diff(m1.indptr))
+        order = np.lexsort((m1.indices, rows))
+        assert np.array_equal(order, np.arange(m1.nnz))
+        assert m1.dtype == np.complex128
+        assert np.all(m1.data != 0.0)
 
     def test_no_duplicate_positions(self):
         g = assemble(nonuniform_params())
-        keys = set(zip(g.rows.tolist(), g.cols.tolist()))
+        keys = {(r, c) for r, c, _ in g.entries()}
         assert len(keys) == g.nnz
 
     def test_trace_preservation_identity(self):
@@ -158,9 +173,9 @@ class TestAssembly:
 
     def test_fault_injection_breaks_trace_identity(self):
         g = assemble(ModelParams.uniform(2, zeta=0.2))
-        vals = g.vals.copy()
-        vals[0] += 1e-3
-        broken = Generator(g.n_qubits, g.sectors, g.rows.copy(), g.cols.copy(), vals)
+        m = g.matrix().copy()
+        m.data[0] += 1e-3
+        broken = Generator(g.n_qubits, g.sectors, m)
         assert trace_violation(broken) > 1e-4
 
     def test_hermiticity_preservation(self):
@@ -192,14 +207,14 @@ class TestAssembly:
 
 class TestEquationTranscription:
     def test_dense_generator_matches_independent_transcription(self):
-        # rebuild the full equations from scratch with barrier_rates and
+        # rebuild the full equations entry by entry from the rate table and
         # config_energy only, structured differently from assemble()
         from qdfsim.model import config_energy, flip_index
-        from qdfsim.rates import barrier_rates
+        from qdfsim.rates import rate_table
 
         p = nonuniform_params()
         n, d = p.n_qubits, 2**p.n_qubits
-        br = [barrier_rates(z, p) for z in range(d)]
+        t = rate_table(p)
         energy = [config_energy(z, p) for z in range(d)]
         dim = 4 * d * d
         ref = np.zeros((dim, dim), complex)
@@ -210,10 +225,10 @@ class TestEquationTranscription:
         for z1 in range(d):
             for z2 in range(d):
                 ph = 1j * (energy[z2] - energy[z1])
-                gl1, gl2 = br[z1].gamma_L, br[z2].gamma_L
-                gr1, gr2 = br[z1].gamma_R, br[z2].gamma_R
-                glp1, glp2 = br[z1].gamma_L_primed, br[z2].gamma_L_primed
-                grp1, grp2 = br[z1].gamma_R_primed, br[z2].gamma_R_primed
+                gl1, gl2 = t.gamma_L[z1], t.gamma_L[z2]
+                gr1, gr2 = t.gamma_R[z1], t.gamma_R[z2]
+                glp1, glp2 = t.gamma_L_primed[z1], t.gamma_L_primed[z2]
+                grp1, grp2 = t.gamma_R_primed[z1], t.gamma_R_primed[z2]
                 ref[fi(0, z1, z2), fi(0, z1, z2)] = ph - (gl1 + gl2)
                 ref[fi(0, z1, z2), fi(1, z1, z2)] = np.sqrt(gr1 * gr2)
                 ref[fi(0, z1, z2), fi(2, z1, z2)] = np.sqrt(gr1 * gr2)
@@ -388,3 +403,22 @@ class TestDump:
     def test_dump_deterministic(self):
         p = ModelParams.uniform(2, zeta=0.2)
         assert assemble(p).dump() == assemble(p).dump()
+
+    # SHA-256 of dump(), frozen from the entry-list assembly: any changed bit
+    # of any entry (signed zeros included) changes the text.
+    DIGESTS = {
+        ("nonuniform", "full"): "62607f03ed2881dd6fdb9a45a1f19c52e7dd1b8b2991d0adace159efe9c037de",
+        ("nonuniform", "reduced"): "e86fbc6f3c6745da2f2b19e1a4f3faaead5f72251e1324175034fa8086891b0e",
+        ("case_ii", "full"): "cadad30a93d37e187ec8c1a30207ecba0cb71d6d56be4e5523249e832f0fb41a",
+        ("case_ii", "reduced"): "c920508a8586884d6fd7a9fba6daad4775f17b0bbfc66d5efff86e5b045f920b",
+    }
+
+    @pytest.mark.parametrize("params", ["nonuniform", "case_ii"])
+    @pytest.mark.parametrize("layout", ["full", "reduced"])
+    def test_dump_digest_pinned(self, params, layout):
+        p = nonuniform_params() if params == "nonuniform" else case_ii_params()
+        g = assemble(p)
+        if layout == "reduced":
+            g = reduce_spin_symmetric(g)
+        digest = hashlib.sha256(g.dump().encode()).hexdigest()
+        assert digest == self.DIGESTS[(params, layout)]

@@ -6,66 +6,30 @@ from hypothesis import strategies as st
 from qdfsim.model import (
     CASE_AFFECTED,
     ModelParams,
-    QubitConfig,
     Scenario,
     apply_scenario,
     config_energy,
-    flip,
     flip_index,
 )
 
 from conftest import dense_hamiltonian
 
 
-class TestQubitConfig:
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_index_bijection(self, n):
-        seen = set()
-        for idx in range(2**n):
-            z = QubitConfig.from_index(idx, n)
-            assert z.index == idx
-            assert len(z.spins) == n
-            seen.add(z.spins)
-        assert len(seen) == 2**n
-
-    def test_spin_is_bit(self):
-        z = QubitConfig((-1, 1, -1, 1))
-        assert z.index == 0b1010
-
-    def test_labels_n2(self):
-        labels = [QubitConfig.from_index(i, 2).label for i in range(4)]
-        # index order 0..3 is A (down,down), C (up,down), B (down,up), D
-        assert labels == ["A", "C", "B", "D"]
-
-    def test_bad_spins_rejected(self):
-        with pytest.raises(ValueError):
-            QubitConfig((0, 1))
-        with pytest.raises(ValueError):
-            QubitConfig(())
-
-    def test_from_index_range(self):
-        with pytest.raises(ValueError):
-            QubitConfig.from_index(4, 2)
-
-
 class TestFlip:
     def test_two_qubit_examples(self):
-        a = QubitConfig((-1, -1))
-        assert flip(a, 1).label == "C"
-        assert flip(a, 2).label == "B"
+        # from down/down, flipping qubit 1 or 2 sets bit 0 or bit 1
+        assert flip_index(0b00, 1, 2) == 0b01
+        assert flip_index(0b00, 2, 2) == 0b10
 
     def test_four_qubit_example(self):
-        # flipping qubit 3 of AA changes the (3,4) pair to up/down = C;
-        # label order is (pair12, pair34)
-        aa = QubitConfig.from_index(0, 4)
-        assert aa.label == "AA"
-        assert flip(aa, 3).label == "AC"
+        # flipping qubit 3 of all-down leaves the (1,2) pair down/down
+        assert flip_index(0b0000, 3, 4) == 0b0100
+        assert flip_index(0b0101, 3, 4) == 0b0001
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_involution(self, j):
         for idx in range(16):
-            z = QubitConfig.from_index(idx, 4)
-            assert flip(flip(z, j), j) == z
+            assert flip_index(flip_index(idx, j, 4), j, 4) == idx
 
     def test_hypercube_reachability(self):
         reached = {0}
@@ -80,11 +44,10 @@ class TestFlip:
         assert reached == set(range(16))
 
     def test_index_out_of_range(self):
-        z = QubitConfig((-1, -1))
         with pytest.raises(ValueError):
-            flip(z, 0)
+            flip_index(0, 0, 2)
         with pytest.raises(ValueError):
-            flip(z, 3)
+            flip_index(0, 3, 2)
         with pytest.raises(ValueError):
             flip_index(0, 5, 4)
 
@@ -96,8 +59,13 @@ class TestConfigEnergy:
 
     def test_two_qubit_example(self):
         p = ModelParams.uniform(2, epsilon=[1.0, 2.0], j_coupling=[0.5])
-        z = QubitConfig((1, -1))
+        z = 0b01  # qubit 1 up, qubit 2 down
         assert config_energy(z, p) == pytest.approx(-1.5, abs=1e-15)
+
+    def test_spin_is_bit(self):
+        # qubit i up <=> bit i-1 set: 0b1010 has qubits 2 and 4 up
+        p = ModelParams.uniform(4, epsilon=[1.0, 2.0, 4.0, 8.0])
+        assert config_energy(0b1010, p) == -1.0 + 2.0 - 4.0 + 8.0
 
     def test_uniform_coupling_all_down(self):
         j = 0.7
@@ -169,16 +137,16 @@ class TestModelParams:
 
 class TestScenario:
     def test_named_cases(self):
-        assert Scenario.case_i(0.05).affected == frozenset({3})
-        assert Scenario.case_ii(0.05).affected == frozenset({2, 3})
-        assert Scenario.case_iii(0.05).affected == frozenset({4})
+        assert Scenario.named("case_i", 0.05).affected == frozenset({3})
+        assert Scenario.named("case_ii", 0.05).affected == frozenset({2, 3})
+        assert Scenario.named("case_iii", 0.05).affected == frozenset({4})
         assert CASE_AFFECTED["uniform"] == frozenset()
 
     def test_eta_range(self):
         with pytest.raises(ValueError):
-            Scenario.case_i(1.0)
+            Scenario.named("case_i", 1.0)
         with pytest.raises(ValueError):
-            Scenario.case_i(-0.1)
+            Scenario.named("case_i", -0.1)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -186,7 +154,7 @@ class TestScenario:
 
     def test_case_i_example(self):
         base = ModelParams.uniform(4, omega=2.0, zeta=0.2)
-        out = apply_scenario(base, Scenario.case_i(0.05))
+        out = apply_scenario(base, Scenario.named("case_i", 0.05))
         assert out.omega[2] == pytest.approx(1.9, abs=1e-15)
         assert out.epsilon[2] == pytest.approx(0.05, abs=1e-15)
         assert out.gamma0[2] == pytest.approx(0.95, abs=1e-15)
@@ -201,11 +169,11 @@ class TestScenario:
 
     def test_uniform_scenario_is_identity_for_any_eta(self):
         base = ModelParams.uniform(4, zeta=0.3)
-        assert apply_scenario(base, Scenario.uniform()) is base
+        assert apply_scenario(base, Scenario.named("uniform", 0.05)) is base
 
     def test_case_ii_touches_only_qubits_2_and_3(self):
         base = ModelParams.uniform(4, omega=2.0, zeta=0.2)
-        out = apply_scenario(base, Scenario.case_ii(0.05))
+        out = apply_scenario(base, Scenario.named("case_ii", 0.05))
         for i in (0, 3):
             assert out.omega[i] == base.omega[i]
             assert out.epsilon[i] == base.epsilon[i]
@@ -218,7 +186,7 @@ class TestScenario:
     def test_affected_out_of_range(self):
         base = ModelParams.uniform(2, zeta=0.2)
         with pytest.raises(ValueError):
-            apply_scenario(base, Scenario.case_iii(0.05))
+            apply_scenario(base, Scenario.named("case_iii", 0.05))
 
     def test_custom_affected(self):
         base = ModelParams.uniform(4, zeta=0.2)
