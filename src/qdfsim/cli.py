@@ -11,9 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +19,7 @@ import click
 import numpy as np
 
 from . import analysis, baseline, states
-from .integrator import evolve_expm, evolve_rk4
+from .integrator import _sample_grid, evolve_expm, evolve_rk4
 from .liouvillian import (
     SECTORS_REDUCED,
     Generator,
@@ -33,16 +31,6 @@ from .model import ModelParams, Scenario, apply_scenario
 
 ETA_GRID = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
 FIGURES = ("fig2", "fig3a", "fig3b", "fig4a", "fig4b")
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("QDF_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"QDF_THREADS: expected an integer, got {raw!r}") from None
-    return min(2, os.cpu_count() or 1)
 
 
 def fmt(x: float) -> str:
@@ -87,17 +75,23 @@ def _reject_constant(name: str) -> float:
     raise ConfigError(f"config: non-finite number {name} is not allowed")
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"config: number {text} is out of range")
-    return value
+def _finite(text: str) -> str:
+    """A JSON number literal that a float can hold, else a ConfigError."""
+    if not math.isfinite(float(text)):
+        shown = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
+        raise ConfigError(f"config: number {shown} is out of range")
+    return text
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration; unknown fields are errors."""
     try:
-        raw = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        raw = json.loads(
+            text,
+            parse_constant=_reject_constant,
+            parse_float=lambda t: float(_finite(t)),
+            parse_int=lambda t: int(_finite(t)),
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -161,8 +155,10 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"eta: scenario {cfg.scenario!r} names no affected qubits, so eta must be 0"
         )
-    if cfg.dt <= 0 or cfg.t_end < 0 or cfg.sample_interval <= 0:
-        raise ConfigError("t_end/dt/sample_interval: must be positive")
+    try:
+        _sample_grid(cfg.t_end, cfg.dt, cfg.sample_interval)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"t_end/dt/sample_interval: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -202,26 +198,73 @@ class RunResult:
     populations: np.ndarray  # (n_samples, 3) sector traces a, b, c
 
 
-def execute_run(cfg: RunConfig, baseline_frame: bool = False) -> RunResult:
-    """Evolve one configured run and reduce it to the CSV observables."""
+_GATE_TOL = 1e-9
+
+
+def _gate(
+    cfg: RunConfig, times: np.ndarray, name: str, values: np.ndarray, lo: float, hi: float
+) -> None:
+    """Stop a run with a sample that is not finite or leaves [lo, hi], naming the first.
+
+    A stable RK4 run keeps these bounds to rounding, so a breach means ``dt``
+    lies outside the stability region of the generator.
+    """
+    bad = np.argwhere(~(np.isfinite(values) & (values >= lo) & (values <= hi)))
+    if len(bad):
+        idx = tuple(bad[0])
+        if len(idx) == 2:
+            name = f"{name}_{SECTORS_REDUCED[idx[1]]}"
+        raise ConfigError(
+            f"dt={cfg.dt:g} is unstable for this run: {name}={values[idx]:.6g} "
+            f"at t={times[idx[0]]:g}"
+        )
+
+
+def run_states(
+    cfg: RunConfig, state_names: list[str], baseline_frame: bool = False
+) -> list[RunResult]:
+    """Evolve the named states as one batch under the generator of ``cfg``.
+
+    ``cfg.state`` is not read.  Each trajectory passes the invariant gate
+    (trace error, sector populations, then F) before it is returned.
+    """
     base, params = config_params(cfg)
     try:
-        amps = states.state_by_name(cfg.state, cfg.n_qubits)
+        amp_list = [states.state_by_name(name, cfg.n_qubits) for name in state_names]
     except ValueError as exc:
         raise ConfigError(f"state: {exc}") from exc
-    g = reduced_generator(params)
-    v0 = states.to_density(amps).flatten(SECTORS_REDUCED)
-    traj = evolve_rk4(g, v0, cfg.t_end, cfg.dt, cfg.sample_interval)
+    try:
+        g = reduced_generator(params)
+    except ValueError as exc:  # the trace check, when rates dwarf its tolerance
+        raise ConfigError(str(exc)) from exc
+    v0 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in amp_list], axis=1)
+    try:
+        # an overflow surfaces as the FloatingPointError below, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = evolve_rk4(g, v0, cfg.t_end, cfg.dt, cfg.sample_interval)
+    except FloatingPointError as exc:
+        raise ConfigError(f"dt={cfg.dt:g} is unstable for this run: {exc}") from exc
     omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
-    rho0 = np.outer(amps, amps.conj())
     d = 2**cfg.n_qubits
-    fid = analysis.fidelity_series(
-        traj.times, traj.states, rho0, omega_prime, cfg.n_qubits, len(SECTORS_REDUCED)
-    )
-    mats = traj.states.reshape(len(traj.times), len(SECTORS_REDUCED), d, d)
-    pops = np.einsum("tsii->ts", mats).real
-    trace_err = np.abs(pops.sum(axis=1) - 1.0)
-    return RunResult(traj.times, fid, trace_err, pops)
+    n_sectors = len(SECTORS_REDUCED)
+    results = []
+    for col, amps in enumerate(amp_list):
+        flat = traj.states[:, :, col]
+        mats = flat.reshape(len(traj.times), n_sectors, d, d)
+        pops = np.einsum("tsii->ts", mats).real
+        trace_err = np.abs(pops.sum(axis=1) - 1.0)
+        _gate(cfg, traj.times, "trace_err", trace_err, 0.0, _GATE_TOL)
+        _gate(cfg, traj.times, "pop", pops, -_GATE_TOL, 1.0 + _GATE_TOL)
+        rho0 = np.outer(amps, amps.conj())
+        fid = analysis.fidelity_series(traj.times, flat, rho0, omega_prime, cfg.n_qubits, n_sectors)
+        _gate(cfg, traj.times, "F", fid, -np.inf, 1.0 + _GATE_TOL)
+        results.append(RunResult(traj.times, fid, trace_err, pops))
+    return results
+
+
+def execute_run(cfg: RunConfig, baseline_frame: bool = False) -> RunResult:
+    """Evolve one configured run and reduce it to the CSV observables."""
+    return run_states(cfg, [cfg.state], baseline_frame)[0]
 
 
 def run_single_csv(cfg: RunConfig, baseline_frame: bool = False) -> str:
@@ -247,71 +290,27 @@ class SeriesSpec:
     eta: float
 
 
-@dataclass(frozen=True)
-class _GroupKey:
-    n_qubits: int
-    zeta: float
-    scenario: str
-    eta: float
-
-
 def _run_grouped(
     specs: list[SeriesSpec], t_end: float, dt: float, si: float
 ) -> dict[str, np.ndarray]:
-    """Evolve all series, batching the ones that share a generator.
-
-    Batches are evolved as one matrix-valued trajectory; results are merged
-    keyed by series name, so the degree of parallelism never changes output.
-    """
-    groups: dict[_GroupKey, list[SeriesSpec]] = {}
+    """F(t) of every series keyed by name; series that share a generator
+    (the same n_qubits, zeta, scenario and eta) are evolved as one batch."""
+    groups: dict[tuple[int, float, str, float], list[SeriesSpec]] = {}
     for spec in specs:
-        groups.setdefault(
-            _GroupKey(spec.n_qubits, spec.zeta, spec.scenario, spec.eta), []
-        ).append(spec)
-
-    def run_group(item: tuple[_GroupKey, list[SeriesSpec]]) -> dict[str, np.ndarray]:
-        key, members = item
+        groups.setdefault((spec.n_qubits, spec.zeta, spec.scenario, spec.eta), []).append(spec)
+    results: dict[str, np.ndarray] = {}
+    for (n_qubits, zeta, scenario, eta), members in groups.items():
         cfg = RunConfig(
-            n_qubits=key.n_qubits,
-            state=members[0].state,
-            zeta=key.zeta,
-            scenario=key.scenario,
-            eta=key.eta,
+            n_qubits=n_qubits,
+            zeta=zeta,
+            scenario=scenario,
+            eta=eta,
             t_end=t_end,
             dt=dt,
             sample_interval=si,
         )
-        base, params = config_params(cfg)
-        amp_list = [states.state_by_name(m.state, key.n_qubits) for m in members]
-        g = reduced_generator(params)
-        v0 = np.stack(
-            [states.to_density(a).flatten(SECTORS_REDUCED) for a in amp_list], axis=1
-        )
-        traj = evolve_rk4(g, v0, t_end, dt, si)
-        omega_prime = analysis.rotation_frequencies(params)
-        out = {}
-        for col, (member, amps) in enumerate(zip(members, amp_list)):
-            rho0 = np.outer(amps, amps.conj())
-            out[member.name] = analysis.fidelity_series(
-                traj.times,
-                traj.states[:, :, col],
-                rho0,
-                omega_prime,
-                key.n_qubits,
-                len(SECTORS_REDUCED),
-            )
-        return out
-
-    items = list(groups.items())
-    workers = min(_max_workers(), len(items)) or 1
-    results: dict[str, np.ndarray] = {}
-    if workers == 1:
-        for item in items:
-            results.update(run_group(item))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(run_group, items):
-                results.update(part)
+        runs = run_states(cfg, [m.state for m in members])
+        results.update((m.name, run.fidelities) for m, run in zip(members, runs))
     return results
 
 
@@ -490,10 +489,14 @@ def run_verify() -> list[Check]:
     closed = 0.5 * (1.0 + np.exp(-8.0 * 0.3 * grid))
     checks.append(Check("bell_b_closed_form", float(np.abs(f_b - closed).max()), 1e-10))
 
-    run = execute_run(RunConfig(state="psi2", zeta=0.6))
-    checks.append(Check("conservation_trace_n4", float(run.trace_err.max()), 1e-9))
-    pops = run.populations
-    pop_violation = float(max(0.0, -pops.min(), pops.max() - 1.0))
+    try:
+        run = execute_run(RunConfig(state="psi2", zeta=0.6))
+        trace_err = float(run.trace_err.max())
+        pops = run.populations
+        pop_violation = float(max(0.0, -pops.min(), pops.max() - 1.0))
+    except ConfigError:  # the run's own invariant gate stopped it
+        trace_err = pop_violation = math.inf
+    checks.append(Check("conservation_trace_n4", trace_err, 1e-9))
     checks.append(Check("sector_population_bounds_n4", pop_violation, 1e-9))
 
     return checks

@@ -135,14 +135,13 @@ def evolve_rk4(
     t_end: float,
     dt: float = DEFAULT_DT,
     sample_interval: float | None = None,
-    stepwise: bool | None = None,
 ) -> Trajectory:
     """Fixed-step RK4 trajectory sampled every ``sample_interval`` time units.
 
     ``v0`` may be a single flat vector (dim,) or a batch (dim, k) sharing the
-    generator.  ``stepwise`` forces the plain step-by-step loop (None picks
-    the cheaper route automatically); both routes realize the identical
-    scheme and differ only by floating-point reassociation.
+    generator.  The dimension and step count pick the cheaper route; both
+    routes realize the identical scheme and differ only by floating-point
+    reassociation.
     """
     v0 = np.asarray(v0, dtype=np.complex128)
     if v0.shape[0] != g.dim:
@@ -151,9 +150,8 @@ def evolve_rk4(
     times = np.arange(n_intervals + 1) * (steps_per_sample * dt)
     if n_intervals == 0:
         return Trajectory(times, v0[np.newaxis].copy())
-    if stepwise is None:
-        total_steps = n_intervals * steps_per_sample
-        stepwise = g.dim > _DENSE_LIMIT or total_steps <= _STEPWISE_CUTOFF
+    total_steps = n_intervals * steps_per_sample
+    stepwise = g.dim > _DENSE_LIMIT or total_steps <= _STEPWISE_CUTOFF
     run = _evolve_stepwise if stepwise else _evolve_propagator
     return Trajectory(times, run(g, v0, n_intervals, steps_per_sample, dt))
 

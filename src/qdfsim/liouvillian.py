@@ -148,8 +148,7 @@ class Generator:
 
     ``csr`` is canonical: complex, sorted column indices, no duplicates and
     no explicit zeros, so construction is deterministic.  The object is
-    immutable by convention and safe to share; concurrent :meth:`apply` calls
-    on distinct vectors are fine.
+    immutable by convention.
     """
 
     n_qubits: int

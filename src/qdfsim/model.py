@@ -49,8 +49,6 @@ class ModelParams:
     each rate to its value at the shifted electrode energy (1.0 in all
     figure settings).  ``left_barrier``/``right_barrier`` partition
     ``{1..N}`` into the qubits electrostatically coupled to each barrier.
-
-    Immutable after construction; share freely between threads.
     """
 
     n_qubits: int

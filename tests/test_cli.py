@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdfsim.cli import (
     ConfigError,
@@ -58,8 +60,15 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"dt": NaN}', '{"omega": Infinity}', '{"zeta": -Infinity}', '{"omega": 1e999}'],
-        ids=["nan", "inf", "minus_inf", "overflow"],
+        [
+            '{"dt": NaN}',
+            '{"omega": Infinity}',
+            '{"zeta": -Infinity}',
+            '{"omega": 1e999}',
+            '{"omega": 1' + "0" * 400 + "}",
+            '{"omega": 1' + "0" * 4400 + "}",
+        ],
+        ids=["nan", "inf", "minus_inf", "overflow", "int_overflow", "int_digit_limit"],
     )
     def test_non_finite_numbers_rejected(self, text):
         with pytest.raises(ConfigError, match="config: "):
@@ -71,13 +80,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="eta"):
             parse_config(f'{{"scenario": "{scenario}", "eta": 0.05}}')
         assert parse_config(f'{{"scenario": "{scenario}", "eta": 0.0}}').eta == 0.0
-
-    def test_thread_count_must_be_integer(self, monkeypatch):
-        from qdfsim.cli import _max_workers
-
-        monkeypatch.setenv("QDF_THREADS", "abc")
-        with pytest.raises(ConfigError, match="QDF_THREADS"):
-            _max_workers()
 
     def test_roundtrip_idempotent(self):
         text = '{"n_qubits": 2, "state": "bell-b", "zeta": 0.6, "epsilon": [0.1, 0.2]}'
@@ -171,8 +173,14 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"dt": NaN}', '{"omega": Infinity}', '{"scenario": "custom", "eta": 0.05}'],
-        ids=["nan", "inf", "custom_eta"],
+        [
+            '{"dt": NaN}',
+            '{"omega": Infinity}',
+            '{"scenario": "custom", "eta": 0.05}',
+            '{"t_end": 0.5, "dt": 1.0}',
+            '{"n_qubits": 2, "state": "bell-b", "t_end": 1.0, "sample_interval": 0.3}',
+        ],
+        ids=["nan", "inf", "custom_eta", "dt_over_interval", "interval_over_t_end"],
     )
     def test_bad_config_values_exit_two(self, tmp_path, text):
         cfg_file = tmp_path / "bad.json"
@@ -181,11 +189,30 @@ class TestCommands:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
 
-    def test_bad_thread_count_exit_two(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QDF_THREADS", "abc")
-        result = CliRunner().invoke(main, ["figure", "fig2", "--out", str(tmp_path)])
+    @pytest.mark.parametrize(
+        "text, dt",
+        [
+            # F = 80611.9 and pop_b = -3.6e6 at t = 1 without the gate
+            ('{"t_end": 1, "dt": 0.5, "sample_interval": 0.5, "zeta": 0.9, "primed_scale": 50}', "0.5"),
+            # trace error 5e-9 at t = 4; F(t) failed its unit-trace check later
+            ('{"dt": 0.25, "sample_interval": 0.5, "t_end": 10}', "0.25"),
+            # overflows to a non-finite state in the first step
+            (
+                '{"n_qubits": 2, "state": "bell-b", "t_end": 1, "dt": 0.5, '
+                '"sample_interval": 0.5, "omega": 1e200}',
+                "0.5",
+            ),
+        ],
+        ids=["populations", "trace", "overflow"],
+    )
+    def test_unstable_dt_exit_two(self, tmp_path, text, dt):
+        cfg_file = tmp_path / "unstable.json"
+        cfg_file.write_text(text)
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert result.exit_code == 2
-        assert "QDF_THREADS" in result.output
+        assert "Traceback" not in result.output
+        (line,) = result.output.strip().splitlines()
+        assert line.startswith(f"Error: dt={dt} is unstable")
 
     def test_baseline_command(self):
         result = CliRunner().invoke(
@@ -250,21 +277,56 @@ class TestFigures:
         assert np.all(values[:, 1:] <= 1 + 1e-9)
         assert np.all(values[:, 1:] >= -1e-9)
 
-    def test_thread_cap_env(self, monkeypatch):
-        from qdfsim.cli import _max_workers
 
-        monkeypatch.setenv("QDF_THREADS", "5")
-        assert _max_workers() == 5
-        monkeypatch.setenv("QDF_THREADS", "0")
-        assert _max_workers() == 1
-        monkeypatch.delenv("QDF_THREADS")
-        assert _max_workers() >= 1
+@st.composite
+def _n2_configs(draw) -> dict:
+    """An N=2 run with t_end <= 1, mostly on a dividing grid, then at most
+    one other field replaced by a non-dividing step, an unstable scale, an
+    oversized number or a wrong type."""
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.25, 0.5]))
+    interval = dt * draw(st.integers(1, 4))
+    t_end = st.one_of(
+        st.integers(0, int(1.0 / interval)).map(lambda k: k * interval),
+        st.floats(0.0, 1.0),
+        st.sampled_from([-1.0, "1", None]),
+    )
+    cfg = {
+        "n_qubits": 2,
+        "state": draw(st.sampled_from(["bell-a", "bell-b", "bell-c", "bell-d"])),
+        "dt": dt,
+        "sample_interval": interval,
+        "t_end": draw(t_end),
+        "zeta": draw(st.floats(0.0, 0.99)),
+        "omega": draw(st.one_of(st.floats(0.0, 3.0), st.sampled_from([50.0, 1e6, 1e200]))),
+        "primed_scale": draw(st.one_of(st.floats(0.1, 3.0), st.sampled_from([50.0, 1e4]))),
+    }
+    bad_value = st.one_of(
+        st.floats(1e-3, 2.0),
+        st.sampled_from([0, -0.5, 1.0, 1e300, 10**400, "0.1", None, True, [0.1], "psi1"]),
+    )
+    fields = sorted(set(cfg) - {"t_end"})  # t_end stays <= 1: a longer run only costs time
+    replace = draw(st.one_of(st.none(), st.tuples(st.sampled_from(fields), bad_value)))
+    if replace is not None:
+        cfg[replace[0]] = replace[1]
+    return cfg
 
-    def test_parallelism_does_not_change_bytes(self, monkeypatch):
-        from qdfsim.cli import run_time_figure
 
-        monkeypatch.setenv("QDF_THREADS", "1")
-        serial = run_time_figure("fig2", t_end=1.0)
-        monkeypatch.setenv("QDF_THREADS", "4")
-        threaded = run_time_figure("fig2", t_end=1.0)
-        assert serial == threaded
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(cfg=_n2_configs())
+def test_simulate_exit_contract(cfg):
+    """Exit 0 with a CSV inside the invariant gate, or exit 2; no traceback."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("run.json", "w") as fh:
+            fh.write(json.dumps(cfg))
+        result = runner.invoke(main, ["simulate", "--config", "run.json"])
+    assert result.exit_code in (0, 2), (result.exit_code, repr(result.exception))
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        rows = np.array(
+            [[float(x) for x in line.split(",")] for line in result.output.splitlines()[1:]]
+        )
+        assert np.isfinite(rows).all()
+        assert rows[:, 1].max() <= 1 + 1e-9
+        assert rows[:, 2].max() <= 1e-9
+        assert rows[:, 3:].min() >= -1e-9 and rows[:, 3:].max() <= 1 + 1e-9

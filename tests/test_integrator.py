@@ -3,7 +3,13 @@ import pytest
 import scipy.sparse as sp
 
 from qdfsim.analysis import fidelity_series, rotation_frequencies
-from qdfsim.integrator import Trajectory, evolve_expm, evolve_rk4
+from qdfsim.integrator import (
+    Trajectory,
+    _evolve_propagator,
+    _evolve_stepwise,
+    evolve_expm,
+    evolve_rk4,
+)
 from qdfsim.liouvillian import (
     SECTORS_REDUCED,
     Generator,
@@ -105,9 +111,10 @@ class TestAgainstClosedForm:
 class TestInternalRoutes:
     def test_propagator_equals_stepwise(self):
         _, g, _, v0 = bell_setup()
-        a = evolve_rk4(g, v0, 2.0, 1e-3, 0.5, stepwise=True)
-        b = evolve_rk4(g, v0, 2.0, 1e-3, 0.5, stepwise=False)
-        assert np.abs(a.states - b.states).max() < 1e-10
+        # t_end 2.0, dt 1e-3, sample interval 0.5: 4 intervals of 500 steps
+        a = _evolve_stepwise(g, v0, 4, 500, 1e-3)
+        b = _evolve_propagator(g, v0, 4, 500, 1e-3)
+        assert np.abs(a - b).max() < 1e-10
 
     def test_batch_matches_single_columns(self):
         _, g, _, v0 = bell_setup()
@@ -130,7 +137,7 @@ class TestInternalRoutes:
         v0 = np.zeros(g.dim, complex)
         v0[0] = 1.0
         with pytest.raises(FloatingPointError, match="step"):
-            evolve_rk4(g, v0, 1.0, 1e-3, sample_interval=0.1, stepwise=True)
+            _evolve_stepwise(g, v0, 10, 100, 1e-3)
 
 
 class TestExpmOracle:
