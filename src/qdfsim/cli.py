@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import analysis, baseline, states
-from .integrator import _sample_grid, evolve_expm, evolve_rk4
+from .integrator import REAL_FORM_TOL, _sample_grid, evolve_expm, evolve_rk4, real_form
 from .liouvillian import (
     SECTORS_REDUCED,
     Generator,
@@ -498,6 +498,8 @@ def run_verify() -> list[Check]:
         trace_err = pop_violation = math.inf
     checks.append(Check("conservation_trace_n4", trace_err, 1e-9))
     checks.append(Check("sector_population_bounds_n4", pop_violation, 1e-9))
+    # premise of the real-coordinate RK4 routes: S L S^-1 is real
+    checks.append(Check("real_form_n4", real_form(red4).imag_residual, REAL_FORM_TOL))
 
     return checks
 
@@ -587,9 +589,12 @@ def dump_generator(config_path: str, dump_full: bool) -> None:
     """Print the assembled generator entries in the debug text format."""
     cfg = parse_config(Path(config_path).read_text())
     _, params = config_params(cfg)
-    g = assemble(params)
-    if not dump_full:
-        g = reduce_spin_symmetric(g)
+    try:
+        g = assemble(params)
+        if not dump_full:
+            g = reduce_spin_symmetric(g)
+    except ValueError as exc:  # the trace check, when rates dwarf its tolerance
+        raise ConfigError(str(exc)) from exc
     click.echo(g.dump(), nl=False)
 
 

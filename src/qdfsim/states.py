@@ -121,11 +121,15 @@ def to_density(amps: np.ndarray) -> SectorDM:
 
     All weight starts in the no-electron sector; the detector occupations
     relax onto their quasi-steady values on the fast detector timescale.
+    The matrix is exactly hermitian: the outer product of complex amplitudes
+    rounds its mirrored entries differently, and its hermitian part removes
+    that.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     norm2 = float(np.vdot(amps, amps).real)
     if abs(norm2 - 1.0) > _NORM_TOL:
         raise ValueError(f"state must be normalized: |amps|^2 = {norm2}")
     rho = np.outer(amps, amps.conj())
+    rho = 0.5 * (rho + rho.conj().T)
     zero = np.zeros_like(rho)
     return SectorDM(rho, zero, zero.copy(), zero.copy())

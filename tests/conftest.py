@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the package internals it is
 used to check: dense Hamiltonians are built by explicit Kronecker products,
-and small linear systems are solved by eigen-decomposition.
+small linear systems are solved by eigen-decomposition, RK4 is run on the
+complex flat vector, and F(t) is reduced one sample at a time.
 """
 
 from __future__ import annotations
@@ -47,6 +48,33 @@ def eig_propagate(m: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
     vals, vecs = np.linalg.eig(m)
     coeff = np.linalg.solve(vecs, p0.astype(complex))
     return vecs @ (np.exp(vals * t) * coeff)
+
+
+def complex_rk4(csr, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float) -> np.ndarray:
+    """Samples of RK4 on the complex flat vector: the dense one-step matrix
+    P(dt L) = sum_{j<=4} (dt L)^j / j!, raised to the steps per sample."""
+    a = dt * csr.toarray()
+    step = term = np.eye(len(a), dtype=complex)
+    for j in range(1, 5):
+        term = term @ a / j
+        step = step + term
+    hop = np.linalg.matrix_power(step, steps_per_sample)
+    out = [np.asarray(v0, dtype=complex)]
+    for _ in range(n_intervals):
+        out.append(hop @ out[-1])
+    return np.array(out)
+
+
+def fidelity_series_loop(times, flat_states, rho0, omega_prime, n_qubits, n_sectors) -> np.ndarray:
+    """F(t) sample by sample through the single-sample reductions."""
+    from qdfsim.analysis import fidelity, qubit_dm_from_flat, rotating_frame
+
+    return np.array(
+        [
+            fidelity(rho0, rotating_frame(qubit_dm_from_flat(vec, n_qubits, n_sectors), omega_prime, t))
+            for t, vec in zip(times, flat_states)
+        ]
+    )
 
 
 @pytest.fixture

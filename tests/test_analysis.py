@@ -14,6 +14,8 @@ from qdfsim.liouvillian import SECTORS_REDUCED, assemble, reduce_spin_symmetric
 from qdfsim.model import ModelParams
 from qdfsim.states import make_bell, make_df4, to_density
 
+from conftest import I2, SX, fidelity_series_loop, kron_chain
+
 
 class TestReduce:
     def test_initial_state_is_projector(self):
@@ -62,6 +64,15 @@ class TestRotatingFrame:
             rho_t = u @ rho0 @ u.conj().T
             rotated = rotating_frame(rho_t, np.array([w]), t)
             assert np.allclose(rotated, rho0, atol=1e-12)
+
+    def test_time_stack_matches_kron_chain(self):
+        om = np.array([2.0, 1.3, 0.7])
+        times = np.array([0.0, 0.77, 3.1])
+        stack = frame_rotation(om, times)
+        assert stack.shape == (3, 8, 8)
+        for t, r in zip(times, stack):
+            ref = kron_chain([np.cos(w * t) * I2 + 1j * np.sin(w * t) * SX for w in om])
+            assert np.array_equal(r, ref)
 
     def test_unitarity(self):
         r = frame_rotation(np.array([2.0, 1.3]), 0.77)
@@ -120,6 +131,39 @@ class TestFidelity:
         rho1 = np.array([[1.0, 0.0], [1.0j, 0.0]], complex)
         with pytest.raises(ValueError):
             fidelity(rho0, rho1)
+
+
+class TestFidelitySeries:
+    @staticmethod
+    def trajectory(n, amps, zeta=0.6):
+        p = ModelParams.uniform(n, zeta=zeta, epsilon=0.3)
+        g = reduce_spin_symmetric(assemble(p))
+        traj = evolve_rk4(g, to_density(amps).flatten(SECTORS_REDUCED), 5.0, 1e-3, 0.1)
+        return traj, np.outer(amps, amps.conj()), rotation_frequencies(p)
+
+    @pytest.mark.parametrize("n, amps", [(2, make_bell("b")), (4, make_df4("psi2"))], ids=["n2", "n4"])
+    def test_matches_per_sample_oracle(self, n, amps):
+        traj, rho0, om = self.trajectory(n, amps)
+        got = fidelity_series(traj.times, traj.states, rho0, om, n, 3)
+        ref = fidelity_series_loop(traj.times, traj.states, rho0, om, n, 3)
+        assert got.shape == (51,)
+        assert np.abs(got - ref).max() <= 1e-14
+
+    def test_trace_breach_rejected(self):
+        traj, rho0, om = self.trajectory(2, make_bell("b"))
+        states = traj.states.copy()
+        states[7] *= 1.1
+        with pytest.raises(ValueError, match="unit-trace.*t=0.7"):
+            fidelity_series(traj.times, states, rho0, om, 2, 3)
+        with pytest.raises(ValueError, match="unit-trace"):
+            fidelity_series(traj.times, traj.states, 2 * rho0, om, 2, 3)
+
+    def test_non_real_overlap_rejected(self):
+        traj, rho0, om = self.trajectory(2, make_bell("b"))
+        states = traj.states.copy()
+        states[0, 3] += 0.5j  # rho_a[0, 3] only: no longer hermitian, F(0) gains -0.25j
+        with pytest.raises(ValueError, match=r"non-real value \(\S+-0\.2\d*j\) at t=0;"):
+            fidelity_series(traj.times, states, rho0, om, 2, 3)
 
 
 class TestUnitaryLimit:

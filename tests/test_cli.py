@@ -242,11 +242,34 @@ class TestCommands:
         assert full.exit_code == 0
         assert "b_up,000,000" in full.output
 
+    def test_dump_generator_trace_check_exit_two(self, tmp_path):
+        # rates of 1e4 fail the 1e-12 trace check on rounding alone
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"n_qubits": 2, "state": "bell-b", "primed_scale": 1e4}')
+        for extra in ([], ["--full"]):
+            result = CliRunner().invoke(main, ["dump-generator", "--config", str(cfg_file), *extra])
+            assert result.exit_code == 2
+            assert "Traceback" not in result.output
+            assert result.output.strip().splitlines() == [
+                "Error: generator is not trace preserving: defect 3.638e-12 > 1.0e-12"
+            ]
+
+    def test_huge_t_end_exit_two_naming_count(self, tmp_path):
+        # refused by the grid check before any trajectory is allocated
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"t_end": 1e300}')
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert result.exit_code == 2
+        assert result.output.strip().splitlines() == [
+            "Error: t_end/dt/sample_interval: the grid holds 1e+301 samples, more than 100,000"
+        ]
+
     def test_verify_passes_on_fresh_checkout(self):
         result = CliRunner().invoke(main, ["verify"])
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
         assert "all" in result.output and "passed" in result.output
+        assert "PASS real_form_n4" in result.output
 
 
 class TestFigures:

@@ -4,11 +4,15 @@ import scipy.sparse as sp
 
 from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim.integrator import (
+    REAL_FORM_TOL,
     Trajectory,
     _evolve_propagator,
     _evolve_stepwise,
+    _sample_grid,
     evolve_expm,
     evolve_rk4,
+    hermitian_maps,
+    real_form,
 )
 from qdfsim.liouvillian import (
     SECTORS_REDUCED,
@@ -16,10 +20,10 @@ from qdfsim.liouvillian import (
     assemble,
     reduce_spin_symmetric,
 )
-from qdfsim.model import ModelParams
-from qdfsim.states import make_bell, to_density
+from qdfsim.model import ModelParams, Scenario, apply_scenario
+from qdfsim.states import make_bell, make_df4, to_density
 
-from conftest import eig_propagate
+from conftest import complex_rk4, eig_propagate
 
 
 def bell_setup(zeta=0.2):
@@ -55,6 +59,14 @@ class TestSampling:
             evolve_rk4(g, v0, 1.0, dt=0.1, sample_interval=0.25)
         with pytest.raises(ValueError):
             evolve_rk4(g, v0, 1.0, dt=1e-3, sample_interval=0.3)
+        with pytest.raises(ValueError, match="1e\\+301 samples"):
+            evolve_rk4(g, v0, 1e300, dt=1e-3, sample_interval=0.1)
+
+    def test_sample_count_bound(self):
+        # checked before anything is allocated: 100,000 samples pass, 100,001 do not
+        assert _sample_grid(9999.9, 1e-3, 0.1) == (99_999, 100)
+        with pytest.raises(ValueError, match="100001 samples, more than 100,000"):
+            _sample_grid(10000.0, 1e-3, 0.1)
 
     def test_dimension_mismatch(self):
         _, g, _, v0 = bell_setup()
@@ -128,16 +140,80 @@ class TestInternalRoutes:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_detection_reports_step(self):
-        # a growing mode overflows quickly at this step size
-        m = sp.csr_matrix(
-            (np.array([1e4, -1e4, -1e4, 1e4], dtype=complex), ([0, 0, 1, 1], [0, 1, 0, 1])),
-            shape=(12, 12),
-        )
+        # a growing mode overflows quickly at this step size; a real rate on a
+        # diagonal entry keeps the generator hermiticity preserving
+        m = sp.csr_matrix((np.array([1e4], dtype=complex), ([0], [0])), shape=(12, 12))
         g = Generator(1, ("a", "b", "c"), m)
         v0 = np.zeros(g.dim, complex)
         v0[0] = 1.0
         with pytest.raises(FloatingPointError, match="step"):
             _evolve_stepwise(g, v0, 10, 100, 1e-3)
+
+
+def n4_generator():
+    p = ModelParams.uniform(4, zeta=0.2, epsilon=[0.1, -0.3, 0.2, 0.4], j_coupling=[0.05, -0.1, 0.2])
+    return reduce_spin_symmetric(assemble(apply_scenario(p, Scenario.named("case_ii", 0.05))))
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("n_sectors, d", [(3, 4), (4, 8), (3, 16)])
+    def test_inverse_is_exact(self, n_sectors, d):
+        s, s_inv = hermitian_maps(n_sectors, d)
+        assert np.array_equal((s_inv @ s).toarray(), np.eye(n_sectors * d * d))
+
+    def test_hermitian_blocks_have_real_coordinates(self, rng):
+        mats = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        v = (mats + mats.conj().transpose(0, 2, 1)).reshape(-1)
+        s, _ = hermitian_maps(3, 4)
+        x = s @ v
+        assert not x.imag.any()
+        assert x[1] == v[1].real and x[4] == v[1].imag  # rho_01 -> (Re at 01, Im at 10)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_imag_residual_within_bound(self, n):
+        g = bell_setup()[1] if n == 2 else n4_generator()
+        rf = real_form(g)
+        assert rf.imag_residual <= REAL_FORM_TOL
+        assert rf.l_r.dtype == np.float64
+        # L_r reproduces L through the maps: S^-1 L_r S = L to rounding
+        back = (rf.s_inv @ rf.l_r @ rf.s).toarray()
+        assert np.abs(back - g.as_dense()).max() <= 1e-14 * np.abs(g.csr.data).max()
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["non_hermitian", "hermitian"])
+    @pytest.mark.parametrize("route", [_evolve_stepwise, _evolve_propagator])
+    def test_routes_match_complex_oracle(self, route, hermitian, rng):
+        # a hermitian batch has real coordinates and is evolved without its
+        # (zero) imaginary columns
+        _, g, _, _ = bell_setup(zeta=0.6)
+        mats = rng.normal(size=(3, 4, 4, 3)) + 1j * rng.normal(size=(3, 4, 4, 3))
+        if hermitian:
+            mats = mats + mats.conj().transpose(0, 2, 1, 3)
+        v0 = mats.reshape(g.dim, 3)
+        ref = complex_rk4(g.csr, v0, 4, 500, 1e-3)
+        assert np.abs(route(g, v0, 4, 500, 1e-3) - ref).max() <= 1e-12
+        single = route(g, v0[:, 1], 4, 500, 1e-3)
+        assert single.shape == (5, g.dim)
+        assert np.abs(single - ref[:, :, 1]).max() <= 1e-12
+
+    def test_rk4_matches_expm_four_qubits(self):
+        g = n4_generator()
+        v0 = to_density(make_df4("psi2")).flatten(SECTORS_REDUCED)
+        rk4 = evolve_rk4(g, v0, 50.0, 1e-3, sample_interval=50.0).final()
+        ref = evolve_expm(g, v0, 50.0)
+        assert np.abs(rk4 - ref).max() < 1e-8
+
+    @pytest.mark.parametrize("t_end", [0.5, 5.0], ids=["stepwise", "propagator"])
+    def test_non_hermitian_generator_rejected(self, t_end):
+        # couples rho_00 to rho_01 but not to rho_10
+        m = sp.csr_matrix(
+            (np.array([-1.0, 1.0], dtype=complex), ([0, 0], [0, 1])), shape=(12, 12)
+        )
+        g = Generator(1, ("a", "b", "c"), m)
+        assert real_form(g).imag_residual > REAL_FORM_TOL
+        v0 = np.zeros(g.dim, complex)
+        v0[0] = 1.0
+        with pytest.raises(ValueError, match="hermiticity"):
+            evolve_rk4(g, v0, t_end, 1e-3, 0.5)
 
 
 class TestExpmOracle:

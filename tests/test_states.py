@@ -137,6 +137,14 @@ class TestToDensity:
         assert evals[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.abs(evals[:-1]) < 1e-12)
 
+    def test_exactly_hermitian_for_complex_amplitudes(self):
+        rng = np.random.default_rng(9)
+        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+        amps /= np.linalg.norm(amps)
+        rho = to_density(amps).rho_a
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.abs(rho - np.outer(amps, amps.conj())).max() < 1e-16
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             to_density(np.ones(4, complex))
