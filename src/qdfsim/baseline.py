@@ -25,8 +25,8 @@ def total_spin(z: int, n_qubits: int) -> int:
 
 def damping_factors(n_qubits: int, gamma_d: float, t: float) -> np.ndarray:
     """Elementwise decay factors of the channel; all lie in (0, 1]."""
-    if gamma_d < 0.0:
-        raise ValueError(f"dephasing rate must be non-negative, got {gamma_d}")
+    if not 0.0 <= gamma_d < np.inf:
+        raise ValueError(f"dephasing rate must be finite and non-negative, got {gamma_d}")
     s = np.array([total_spin(z, n_qubits) for z in range(2**n_qubits)], dtype=float)
     diff = s[:, None] - s[None, :]
     return np.exp(-0.5 * gamma_d * t * diff * diff)

@@ -19,7 +19,15 @@ import click
 import numpy as np
 
 from . import analysis, baseline, states
-from .integrator import REAL_FORM_TOL, _sample_grid, evolve_expm, evolve_rk4, real_form
+from .integrator import (
+    REAL_FORM_TOL,
+    _evolve_krylov,
+    _evolve_stepwise,
+    _sample_grid,
+    evolve_expm,
+    evolve_rk4,
+    real_form,
+)
 from .liouvillian import (
     SECTORS_REDUCED,
     Generator,
@@ -501,6 +509,19 @@ def run_verify() -> list[Check]:
     # premise of the real-coordinate RK4 routes: S L S^-1 is real
     checks.append(Check("real_form_n4", real_form(red4).imag_residual, REAL_FORM_TOL))
 
+    # the route of every N >= 5 run: Krylov-projected RK4 against the plain
+    # stepwise loop, over 2 samples of 100 steps
+    p5 = ModelParams.uniform(
+        5, zeta=0.2, epsilon=[0.3, -0.2, 0.1, -0.4, 0.25], j_coupling=[0.1, -0.2, 0.15, 0.05]
+    )
+    g5 = reduced_generator(p5)
+    rng = np.random.default_rng(7)
+    amps5 = rng.normal(size=32) + 1j * rng.normal(size=32)
+    v5 = states.to_density(amps5 / np.linalg.norm(amps5)).flatten(SECTORS_REDUCED)
+    krylov = _evolve_krylov(g5, v5, 2, 100, 1e-3)
+    stepwise = _evolve_stepwise(g5, v5, 2, 100, 1e-3)
+    checks.append(Check("krylov_route_n5", float(np.abs(krylov - stepwise).max()), 1e-12))
+
     return checks
 
 
@@ -552,8 +573,12 @@ def baseline_cmd(
     """Analytic collective-dephasing fidelity of a named state."""
     n = 4 if state_name.startswith("psi") else 2
     try:
+        n_intervals, _ = _sample_grid(t_end, sample_interval, sample_interval)
+    except ValueError as exc:
+        raise ConfigError(f"--t-end/--sample-interval: {exc}") from exc
+    try:
         amps = states.state_by_name(state_name, n)
-        times = np.arange(int(round(t_end / sample_interval)) + 1) * sample_interval
+        times = np.arange(n_intervals + 1) * sample_interval
         fid = baseline.baseline_fidelity(amps, gamma_d, times)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

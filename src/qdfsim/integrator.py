@@ -1,20 +1,33 @@
 """Time evolution of flat sector vectors under the sparse generator.
 
-Two routes are provided:
+:func:`evolve_rk4` is classical fixed-step fourth-order Runge-Kutta.  For a
+time-independent linear system the RK4 update is the fixed polynomial
+``P(dt L) = 1 + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24`` applied once
+per step, so a sample interval of m steps is the map ``P(dt L)^m``.  Three
+routes apply that same map and differ only in how it is evaluated:
 
-* :func:`evolve_rk4` -- classical fixed-step fourth-order Runge-Kutta.  For a
-  time-independent linear system the RK4 update is the fixed polynomial
-  ``P(dt L) = 1 + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24`` applied once
-  per step, so whenever a dense matrix is feasible the implementation forms
-  ``P(dt L)`` once, raises it to the number of steps between samples, and
-  advances sample-to-sample with BLAS products.  This is the same method with
-  the same truncation error, merely reassociated; a plain step-by-step sparse
-  loop is kept for large dimensions and short runs and agrees to rounding.
+* stepwise: the four sparse products of each step, one step at a time;
+* dense propagator: ``P(dt L)`` formed once as a dense matrix, raised to the
+  m-th power, and applied sample to sample with BLAS products;
+* Krylov: ``P(dt L)^m x`` evaluated in an Arnoldi basis of the sparse L and
+  x (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J.
+  Numer. Anal. 34, 1911 (1997)) as ``|x| V_k P(dt H_k)^m e_1``.  Each chunk
+  of at most ``3 / (dt ||L||_inf)`` steps is accepted when the a-posteriori
+  estimate ``h_{k+1,k} |e_k^T P(dt H_k)^m e_1|`` is at most 1e-13 relative
+  to |x|; the projection is exact on a breakdown and whenever the degree 4m
+  is below k, so a chunk that misses the estimate within 60 basis vectors is
+  retried at half the steps and always ends.  The result is RK4's map up to
+  that projection error, not another integrator: the step ``dt`` keeps its
+  truncation error and its stability limit.
 
-* :func:`evolve_expm` -- the independent dense reference: scaling-and-squaring
-  Pade matrix exponential of ``L t`` applied to the initial vector.
+Routing: a generator of dimension above 768 (N >= 5) takes the Krylov route,
+so no dense matrix of its dimension is built; smaller ones take the
+stepwise loop for short runs and the dense propagator for long ones.
 
-Both RK4 routes run in real coordinates.  Every sector block rho_s is
+:func:`evolve_expm` is the independent dense reference: scaling-and-squaring
+Pade matrix exponential of ``L t`` applied to the initial vector.
+
+All RK4 routes run in real coordinates.  Every sector block rho_s is
 hermitian and L maps hermitian blocks to hermitian blocks (H is real
 symmetric, every rate matrix K_ss' is real), so in the coordinates
 ``x = S vec(rho)`` with, per sector, ``x[z,z] = rho_zz``, ``x[i,j] = Re rho_ij``
@@ -52,10 +65,18 @@ from .liouvillian import Generator
 
 DEFAULT_DT = 1e-3
 
+# Largest dimension of the dense evolve_expm oracle.
 _DENSE_LIMIT = 4096
+# Generators above this dimension (N >= 5) take the Krylov route.
+_KRYLOV_MIN_DIM = 768
 # Below this many total steps the plain sparse loop beats building and
 # powering the dense one-step matrix.
 _STEPWISE_CUTOFF = 2500
+# Krylov route: largest basis, error bound per chunk relative to |x|, and the
+# bound on (steps per chunk) * dt * ||L_r||_inf.
+_KRYLOV_MAX_BASIS = 60
+_KRYLOV_TOL = 1e-13
+_KRYLOV_CHUNK_NORM = 3.0
 # Largest number of samples a grid may hold: the trajectory keeps every one.
 _MAX_SAMPLES = 100_000
 # Bound on max|Im S L S^-1| / max|L|; rounding leaves about 1e-16.
@@ -158,14 +179,17 @@ def _check_finite(state: np.ndarray, step: int) -> None:
 
 def _sample_grid(t_end: float, dt: float, sample_interval: float | None) -> tuple[int, int]:
     """Validate the grid and return (n_intervals, steps_per_sample)."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    for name, value in (("t_end", t_end), ("sample_interval", sample_interval), ("dt", dt)):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if t_end < 0.0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
+    if sample_interval is not None and sample_interval <= 0.0:
+        raise ValueError(f"sample_interval must be positive, got {sample_interval}")
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     if sample_interval is None:
         sample_interval = t_end if t_end > 0.0 else dt
-    if sample_interval <= 0.0:
-        raise ValueError(f"sample_interval must be positive, got {sample_interval}")
     steps_per_sample = int(round(sample_interval / dt))
     if steps_per_sample < 1 or abs(steps_per_sample * dt - sample_interval) > 1e-9 * sample_interval:
         raise ValueError(f"dt={dt} must divide the sample interval {sample_interval}")
@@ -229,6 +253,105 @@ def _evolve_stepwise(
     return out
 
 
+def _rk4_power_e1(h: np.ndarray, dt: float, m: int) -> np.ndarray:
+    """First column of P(dt h)^m for a small dense h, by binary powering.
+
+    P is the polynomial of :func:`_rk4_step_matrix`; the powers are not taken
+    with ``np.linalg.matrix_power``, which the dense route alone uses.
+    """
+    scaled = dt * h
+    step = term = np.eye(len(h))
+    for j in range(1, 5):
+        term = (term @ scaled) / j
+        step = step + term
+    y = np.zeros(len(h))
+    y[0] = 1.0
+    while m:
+        if m & 1:
+            y = step @ y
+        m >>= 1
+        if m:
+            step = step @ step
+    return y
+
+
+def _krylov_chunk(
+    l_r: sp.csr_matrix, x: np.ndarray, m: int, dt: float, basis: np.ndarray, k_check: int
+) -> tuple[np.ndarray | None, int]:
+    """P(dt L_r)^m x projected on the Krylov space of L_r and x.
+
+    Arnoldi with two passes of classical Gram-Schmidt builds the orthonormal
+    rows of ``basis`` and the Hessenberg h.  From basis size ``k_check`` on,
+    the projection ``|x| V_k P(dt h_k)^m e_1`` is accepted when its error
+    estimate ``h[k, k-1] |y[k-1]|`` is at most ``_KRYLOV_TOL``; it is exact
+    on a breakdown (h[k, k-1] = 0) and once the degree 4m is below k.
+    Returns (the result or None when the basis cap is reached, the basis size).
+    """
+    scale = float(np.abs(x).max())
+    if scale == 0.0 or not np.isfinite(scale):
+        return x, 0  # zero stays zero; a non-finite state is left to _check_finite
+    basis[0] = x / scale  # |x| itself may overflow while x does not
+    beta = float(np.linalg.norm(basis[0]))
+    basis[0] /= beta
+    beta *= scale
+    cap = basis.shape[0] - 1
+    h = np.zeros((cap + 1, cap))
+    for k in range(1, cap + 1):
+        w = l_r @ basis[k - 1]
+        for _ in range(2):
+            c = basis[:k] @ w
+            w -= c @ basis[:k]
+            h[:k, k - 1] += c
+        h[k, k - 1] = h_next = np.linalg.norm(w)
+        exact = h_next == 0.0 or 4 * m < k
+        if exact or k >= k_check:
+            y = _rk4_power_e1(h[:k, :k], dt, m)
+            if exact or h_next * abs(y[-1]) <= _KRYLOV_TOL:
+                return beta * (y @ basis[:k]), k
+        basis[k] = w / h_next
+    return None, cap
+
+
+def _evolve_krylov(
+    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float
+) -> np.ndarray:
+    """RK4 samples with each interval's P(dt L_r)^steps applied in a Krylov basis.
+
+    An interval is split evenly into chunks of at most ``_KRYLOV_CHUNK_NORM /
+    (dt ||L_r||_inf)`` steps; a chunk whose estimate is not met within
+    ``_KRYLOV_MAX_BASIS`` vectors is retried at half the steps, down to one
+    step, which is exact in a basis of five.
+    """
+    rf = _checked_real_form(g)
+    l_r = rf.l_r
+    norm = float(abs(l_r).sum(axis=1).max())  # largest absolute row sum
+    chunk = steps_per_sample
+    if norm * dt * chunk > _KRYLOV_CHUNK_NORM:
+        chunk = max(1, int(_KRYLOV_CHUNK_NORM / (norm * dt)))
+    out = np.empty((n_intervals + 1,) + v0.shape, dtype=np.complex128)
+    out[0] = v0
+    cols = _to_real(rf, v0).T.copy()  # one contiguous row per real column
+    basis = np.empty((_KRYLOV_MAX_BASIS + 1, g.dim))
+    k_last = [1] * len(cols)  # basis size the column's last chunk needed
+    for i in range(1, n_intervals + 1):
+        for c in range(len(cols)):
+            x = cols[c]
+            done = 0
+            while done < steps_per_sample:
+                left = steps_per_sample - done
+                pieces = (left + chunk - 1) // chunk
+                m = (left + pieces - 1) // pieces  # even split of the steps left
+                y, k = _krylov_chunk(l_r, x, m, dt, basis, max(1, k_last[c] - 1))
+                if y is None:
+                    chunk = max(1, m // 2)
+                    continue
+                x, done, k_last[c] = y, done + m, k
+            cols[c] = x
+        _check_finite(cols, i * steps_per_sample)
+        _from_real(rf, cols.T, out[i])
+    return out
+
+
 def evolve_rk4(
     g: Generator,
     v0: np.ndarray,
@@ -239,10 +362,10 @@ def evolve_rk4(
     """Fixed-step RK4 trajectory sampled every ``sample_interval`` time units.
 
     ``v0`` may be a single flat vector (dim,) or a batch (dim, k) sharing the
-    generator.  The dimension and step count pick the cheaper route; both
-    routes realize the identical scheme and differ only by floating-point
-    reassociation.  A generator that does not preserve hermiticity raises
-    ValueError.
+    generator.  The dimension and step count pick the route (see the module
+    docstring); the routes realize the identical scheme and differ only by
+    floating-point reassociation, and on the Krylov route by its projection
+    error.  A generator that does not preserve hermiticity raises ValueError.
     """
     v0 = np.asarray(v0, dtype=np.complex128)
     if v0.shape[0] != g.dim:
@@ -251,9 +374,12 @@ def evolve_rk4(
     times = np.arange(n_intervals + 1) * (steps_per_sample * dt)
     if n_intervals == 0:
         return Trajectory(times, v0[np.newaxis].copy())
-    total_steps = n_intervals * steps_per_sample
-    stepwise = g.dim > _DENSE_LIMIT or total_steps <= _STEPWISE_CUTOFF
-    run = _evolve_stepwise if stepwise else _evolve_propagator
+    if g.dim > _KRYLOV_MIN_DIM:
+        run = _evolve_krylov
+    elif n_intervals * steps_per_sample <= _STEPWISE_CUTOFF:
+        run = _evolve_stepwise
+    else:
+        run = _evolve_propagator
     return Trajectory(times, run(g, v0, n_intervals, steps_per_sample, dt))
 
 

@@ -58,6 +58,9 @@ from .rates import rate_table
 SECTORS_FULL = ("a", "b_up", "b_dn", "c")
 SECTORS_REDUCED = ("a", "b", "c")
 
+# Trace check bound per unit of max(1, max|L|): a column sum over the trace
+# rows adds a few terms of size up to max|L|, so rounding leaves a few ulps
+# of max|L| (about 1e-16 relative), far inside this bound.
 _TRACE_TOL = 1e-12
 
 
@@ -200,16 +203,16 @@ class Generator:
 
 
 def _canonical(n_qubits: int, sectors: tuple[str, ...], m: sp.spmatrix) -> Generator:
-    """Generator on the canonical complex CSR form of m, checked for trace preservation."""
+    """Generator on the canonical complex CSR form of m, checked for trace
+    preservation to ``_TRACE_TOL * max(1, max|L|)``."""
     csr = m.tocsr().astype(np.complex128)
     csr.eliminate_zeros()
     csr.sort_indices()
     g = Generator(n_qubits, sectors, csr)
     defect = trace_violation(g)
-    if defect > _TRACE_TOL:
-        raise ValueError(
-            f"generator is not trace preserving: defect {defect:.3e} > {_TRACE_TOL:.1e}"
-        )
+    bound = _TRACE_TOL * max(1.0, float(np.abs(csr.data).max(initial=0.0)))
+    if not defect <= bound:  # a NaN defect (overflowing rates) is refused too
+        raise ValueError(f"generator is not trace preserving: defect {defect:.3e} > {bound:.1e}")
     return g
 
 

@@ -225,6 +225,29 @@ class TestCommands:
         t, f = (float(x) for x in lines[-1].split(","))
         assert f == pytest.approx(0.5 * (1 + np.exp(-8 * 0.35 * t)), abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["--t-end", "1e300"], "the grid holds 1e+301 samples, more than 100,000"),
+            (["--sample-interval", "0"], "sample_interval must be positive, got 0.0"),
+            (["--t-end", "1", "--sample-interval", "0.3"], "sample_interval=0.3 must divide t_end=1.0"),
+            (["--t-end", "-5"], "t_end must be non-negative, got -5.0"),
+            (["--t-end", "inf"], "t_end must be finite, got inf"),
+        ],
+        ids=["huge_t_end", "zero_interval", "non_dividing", "negative_t_end", "infinite_t_end"],
+    )
+    def test_baseline_grid_exit_two(self, args, reason):
+        result = CliRunner().invoke(main, ["baseline", "--state", "bell-b", "--gamma-d", "0.3", *args])
+        assert result.exit_code == 2
+        assert result.output.strip().splitlines() == [f"Error: --t-end/--sample-interval: {reason}"]
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+    def test_baseline_rate_exit_two(self, gamma):
+        result = CliRunner().invoke(main, ["baseline", "--state", "bell-b", "--gamma-d", gamma])
+        assert result.exit_code == 2
+        (line,) = result.output.strip().splitlines()
+        assert line.startswith("Error: dephasing rate must be finite and non-negative")
+
     def test_baseline_rejects_unknown_state(self):
         result = CliRunner().invoke(main, ["baseline", "--state", "ghz", "--gamma-d", "0.1"])
         assert result.exit_code == 2
@@ -242,17 +265,44 @@ class TestCommands:
         assert full.exit_code == 0
         assert "b_up,000,000" in full.output
 
-    def test_dump_generator_trace_check_exit_two(self, tmp_path):
-        # rates of 1e4 fail the 1e-12 trace check on rounding alone
+    def test_dump_generator_trace_check_exit_two(self, tmp_path, monkeypatch):
+        # a planted trace defect of 1e-10 per unit of max|L| (2.4 here)
+        from qdfsim import liouvillian
+
+        true_violation = liouvillian.trace_violation
+        monkeypatch.setattr(
+            liouvillian, "trace_violation", lambda g: true_violation(g) + 2.4e-10
+        )
         cfg_file = tmp_path / "run.json"
-        cfg_file.write_text('{"n_qubits": 2, "state": "bell-b", "primed_scale": 1e4}')
+        cfg_file.write_text('{"n_qubits": 2, "state": "bell-b"}')
         for extra in ([], ["--full"]):
             result = CliRunner().invoke(main, ["dump-generator", "--config", str(cfg_file), *extra])
             assert result.exit_code == 2
             assert "Traceback" not in result.output
             assert result.output.strip().splitlines() == [
-                "Error: generator is not trace preserving: defect 3.638e-12 > 1.0e-12"
+                "Error: generator is not trace preserving: defect 2.400e-10 > 2.4e-12"
             ]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_dump_generator_overflowing_rates_exit_two(self, tmp_path):
+        # rates that overflow to inf leave a NaN trace defect, which is refused
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"n_qubits": 2, "state": "bell-b", "primed_scale": 1e308}')
+        result = CliRunner().invoke(main, ["dump-generator", "--config", str(cfg_file)])
+        assert result.exit_code == 2
+        (line,) = result.output.strip().splitlines()
+        assert line.startswith("Error: generator is not trace preserving: defect nan")
+
+    def test_dump_generator_large_rates(self, tmp_path):
+        # rates of 1e4 leave a trace defect of 3.6e-12 on rounding, about
+        # 1.5e-16 of max|L|: inside the scaled bound
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"n_qubits": 2, "state": "bell-b", "primed_scale": 1e4}')
+        for extra in ([], ["--full"]):
+            result = CliRunner().invoke(main, ["dump-generator", "--config", str(cfg_file), *extra])
+            assert result.exit_code == 0, result.output
+            assert result.output.startswith("a,000,000 <- a,000,000 : ")
+            assert ("b_up" in result.output) == bool(extra)
 
     def test_huge_t_end_exit_two_naming_count(self, tmp_path):
         # refused by the grid check before any trajectory is allocated
@@ -270,6 +320,12 @@ class TestCommands:
         assert "FAIL" not in result.output
         assert "all" in result.output and "passed" in result.output
         assert "PASS real_form_n4" in result.output
+        assert "PASS krylov_route_n5" in result.output
+        # the verify checks keep the absolute 1e-12 bound and their values
+        for name, value in (("full_n2", "4.441e-16"), ("reduced_n2", "4.441e-16"),
+                            ("full_n4", "2.220e-16"), ("reduced_n4", "2.220e-16")):
+            line = f"PASS trace_identity_{name}: measured={value} tolerance=1.0e-12"
+            assert line in result.output.splitlines()
 
 
 class TestFigures:

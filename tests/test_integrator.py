@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from qdfsim.analysis import fidelity_series, rotation_frequencies
+from qdfsim import integrator
 from qdfsim.integrator import (
     REAL_FORM_TOL,
     Trajectory,
+    _evolve_krylov,
     _evolve_propagator,
     _evolve_stepwise,
     _sample_grid,
@@ -21,7 +23,7 @@ from qdfsim.liouvillian import (
     reduce_spin_symmetric,
 )
 from qdfsim.model import ModelParams, Scenario, apply_scenario
-from qdfsim.states import make_bell, make_df4, to_density
+from qdfsim.states import make_bell, make_df4, parse_custom, to_density
 
 from conftest import complex_rk4, eig_propagate
 
@@ -180,7 +182,7 @@ class TestRealForm:
         assert np.abs(back - g.as_dense()).max() <= 1e-14 * np.abs(g.csr.data).max()
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["non_hermitian", "hermitian"])
-    @pytest.mark.parametrize("route", [_evolve_stepwise, _evolve_propagator])
+    @pytest.mark.parametrize("route", [_evolve_stepwise, _evolve_propagator, _evolve_krylov])
     def test_routes_match_complex_oracle(self, route, hermitian, rng):
         # a hermitian batch has real coordinates and is evolved without its
         # (zero) imaginary columns
@@ -214,6 +216,88 @@ class TestRealForm:
         v0[0] = 1.0
         with pytest.raises(ValueError, match="hermiticity"):
             evolve_rk4(g, v0, t_end, 1e-3, 0.5)
+
+
+def n5_setup():
+    p = ModelParams.uniform(
+        5, zeta=0.2, epsilon=[0.2, -0.4, 0.1, 0.3, -0.1], j_coupling=[0.1, -0.25, 0.05, 0.2]
+    )
+    g = reduce_spin_symmetric(assemble(p))
+    amps = np.cos(np.arange(32) * 0.7) + 1j * np.sin(np.arange(32) * 1.3)
+    spec = "custom:" + ",".join(repr(complex(a)) for a in amps)
+    return g, to_density(parse_custom(spec, 5)).flatten(SECTORS_REDUCED)
+
+
+class TestKrylovRoute:
+    def test_long_interval_is_chunked_and_matches_propagator(self):
+        _, g, _, v0 = bell_setup(zeta=0.6)
+        # one 50,000-step interval spans many chunks of the Krylov route
+        assert 50.0 * np.abs(real_form(g).l_r).sum(axis=1).max() > 10 * integrator._KRYLOV_CHUNK_NORM
+        a = _evolve_krylov(g, v0, 1, 50_000, 1e-3)
+        b = _evolve_propagator(g, v0, 1, 50_000, 1e-3)
+        assert np.abs(a - b).max() <= 1e-12
+
+    def test_five_qubits_match_stepwise(self):
+        g, v0 = n5_setup()
+        assert g.dim == 3072
+        a = _evolve_krylov(g, v0, 2, 100, 1e-3)
+        b = _evolve_stepwise(g, v0, 2, 100, 1e-3)
+        assert np.abs(a - b).max() <= 1e-12
+
+    def test_zero_column_and_happy_breakdown(self):
+        # rho_00 -> rho_11 at rate 1: from rho_00 the Krylov space closes at
+        # dimension 2, so the projection is exact
+        m = sp.csr_matrix((np.array([-1.0, 1.0], dtype=complex), ([0, 3], [0, 0])), shape=(12, 12))
+        g = Generator(1, ("a", "b", "c"), m)
+        v0 = np.zeros((g.dim, 2), complex)
+        v0[0, 0] = 1.0
+        got = _evolve_krylov(g, v0, 3, 500, 1e-3)
+        assert not got[:, :, 1].any()
+        assert np.abs(got - complex_rk4(g.csr, v0, 3, 500, 1e-3)).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_detection_reports_step(self):
+        m = sp.csr_matrix((np.array([1e4], dtype=complex), ([0], [0])), shape=(12, 12))
+        g = Generator(1, ("a", "b", "c"), m)
+        v0 = np.zeros(g.dim, complex)
+        v0[0] = 1.0
+        with pytest.raises(FloatingPointError, match="step 200"):
+            _evolve_krylov(g, v0, 10, 100, 1e-3)
+
+    def test_non_hermitian_generator_rejected(self):
+        m = sp.csr_matrix(
+            (np.array([-1.0, 1.0], dtype=complex), ([0, 0], [0, 1])), shape=(12, 12)
+        )
+        g = Generator(1, ("a", "b", "c"), m)
+        v0 = np.zeros(g.dim, complex)
+        v0[0] = 1.0
+        with pytest.raises(ValueError, match="hermiticity"):
+            _evolve_krylov(g, v0, 2, 100, 1e-3)
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("route not expected here")
+
+        for name in names:
+            monkeypatch.setattr(integrator, name, refuse)
+
+    @pytest.mark.parametrize("t_end, interval", [(0.2, 0.1), (3.0, 1.0)], ids=["short", "long"])
+    def test_five_qubits_never_build_dense_matrices(self, monkeypatch, t_end, interval):
+        g, v0 = n5_setup()
+        self._forbid(monkeypatch, "_evolve_propagator", "_rk4_step_matrix", "_evolve_stepwise")
+        traj = evolve_rk4(g, v0, t_end, 1e-3, interval)
+        assert traj.states.shape == (round(t_end / interval) + 1, g.dim)
+        assert np.isfinite(traj.states).all()
+
+    @pytest.mark.parametrize("t_end", [0.5, 5.0], ids=["stepwise", "propagator"])
+    def test_four_qubits_keep_their_routes(self, monkeypatch, t_end):
+        g = n4_generator()
+        assert g.dim == 768
+        self._forbid(monkeypatch, "_evolve_krylov")
+        v0 = to_density(make_df4("psi2")).flatten(SECTORS_REDUCED)
+        assert np.isfinite(evolve_rk4(g, v0, t_end, 1e-3, 0.5).states).all()
 
 
 class TestExpmOracle:

@@ -11,6 +11,7 @@ from qdfsim.liouvillian import (
     SECTORS_REDUCED,
     Generator,
     SectorDM,
+    _canonical,
     assemble,
     flat_index,
     reduce_spin_symmetric,
@@ -170,6 +171,19 @@ class TestAssembly:
         g = assemble(p)  # raises internally if the trace identity breaks
         v = hermitian_stack(2, 4, seed=1)
         assert stack_defect(g.apply(v), 2, 4) < 1e-11
+
+    @pytest.mark.parametrize("primed_scale", [1.0, 1e4])
+    def test_trace_check_scales_with_rates(self, primed_scale):
+        # rounding leaves about 1e-16 of max|L|; a planted defect of 1e-10 of
+        # max(1, max|L|) in a trace row is still refused, full and reduced
+        full = assemble(ModelParams.uniform(2, zeta=0.2, primed_scale=primed_scale))
+        for g in (full, reduce_spin_symmetric(full)):
+            peak = max(1.0, np.abs(g.csr.data).max())
+            assert trace_violation(g) <= 1e-15 * peak
+            m = g.csr.copy()
+            m[0, 0] += 1e-10 * peak
+            with pytest.raises(ValueError, match="not trace preserving"):
+                _canonical(g.n_qubits, g.sectors, m)
 
     def test_fault_injection_breaks_trace_identity(self):
         g = assemble(ModelParams.uniform(2, zeta=0.2))
