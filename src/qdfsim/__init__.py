@@ -2,7 +2,6 @@
 two-barrier detector with an internal island."""
 
 from .analysis import (
-    fidelity,
     fidelity_series,
     frame_rotation,
     qubit_dm_from_flat,
@@ -17,17 +16,14 @@ from .liouvillian import (
     Generator,
     SectorDM,
     assemble,
-    flat_index,
     reduce_spin_symmetric,
     trace_violation,
 )
 from .model import (
     GAMMA0_UNIT,
     ModelParams,
-    Scenario,
     apply_scenario,
     config_energy,
-    flip_index,
 )
 from .rates import RateTable, rate_table
 from .states import make_bell, make_df4, parse_custom, state_by_name, to_density
@@ -42,7 +38,6 @@ __all__ = [
     "Generator",
     "ModelParams",
     "RateTable",
-    "Scenario",
     "SectorDM",
     "Trajectory",
     "apply_scenario",
@@ -52,10 +47,7 @@ __all__ = [
     "config_energy",
     "evolve_expm",
     "evolve_rk4",
-    "fidelity",
     "fidelity_series",
-    "flat_index",
-    "flip_index",
     "frame_rotation",
     "make_bell",
     "make_df4",

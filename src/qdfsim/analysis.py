@@ -60,20 +60,6 @@ def rotating_frame(
     return r @ rho_q @ np.swapaxes(r.conj(), -1, -2)
 
 
-def fidelity(rho0: np.ndarray, rho_rot: np.ndarray) -> float:
-    """Overlap Tr[rho(0) rho'(t)] between initial and rotated evolved qubit DM."""
-    tr0 = complex(np.trace(rho0))
-    tr1 = complex(np.trace(rho_rot))
-    if abs(tr0 - 1.0) > _TRACE_TOL or abs(tr1 - 1.0) > _TRACE_TOL:
-        raise ValueError(
-            f"fidelity needs unit-trace inputs: traces {tr0:.6g}, {tr1:.6g}"
-        )
-    f = complex(np.trace(rho0 @ rho_rot))
-    if abs(f.imag) > _IMAG_TOL:
-        raise ValueError(f"fidelity has non-real value {f}; inputs not hermitian?")
-    return f.real
-
-
 def fidelity_series(
     times: np.ndarray,
     flat_states: np.ndarray,
@@ -82,8 +68,13 @@ def fidelity_series(
     n_qubits: int,
     n_sectors: int,
 ) -> np.ndarray:
-    """F(t) for every sampled flat state of a trajectory, with the checks of
-    :func:`fidelity` applied to every sample."""
+    """F(t) = Tr[rho(0) rho'(t)] for every sampled flat state of a trajectory.
+
+    ``rho'(t)`` is the sector-summed qubit DM rotated into the free-qubit
+    frame.  Raises ValueError, naming the first bad time, when ``rho0`` or a
+    rotated sample departs from unit trace by more than 1e-6, or when an
+    overlap has an imaginary part above 1e-10 (inputs not hermitian).
+    """
     times = np.asarray(times, dtype=float)
     rho_q = qubit_dm_from_flat(flat_states, n_qubits, n_sectors)
     rot = rotating_frame(rho_q, omega_prime, times)

@@ -20,7 +20,9 @@ import numpy as np
 
 from . import analysis, baseline, states
 from .integrator import (
+    DEFAULT_DT,
     REAL_FORM_TOL,
+    _MAX_TRAJECTORY_BYTES,
     _evolve_krylov,
     _evolve_stepwise,
     _sample_grid,
@@ -35,7 +37,7 @@ from .liouvillian import (
     reduce_spin_symmetric,
     trace_violation,
 )
-from .model import ModelParams, Scenario, apply_scenario
+from .model import CASE_AFFECTED, ModelParams, apply_scenario
 
 ETA_GRID = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
 FIGURES = ("fig2", "fig3a", "fig3b", "fig4a", "fig4b")
@@ -63,7 +65,7 @@ class RunConfig:
     scenario: str = "uniform"
     primed_scale: float = 1.0
     t_end: float = 50.0
-    dt: float = 1e-3
+    dt: float = DEFAULT_DT
     sample_interval: float = 0.1
     barriers: dict[str, list[int]] | None = None
     output: str | None = None
@@ -159,7 +161,10 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"zeta: must lie in [0, 1), got {cfg.zeta}")
     if not 0.0 <= cfg.eta < 1.0:
         raise ConfigError(f"eta: must lie in [0, 1), got {cfg.eta}")
-    if cfg.eta > 0.0 and cfg.scenario in ("uniform", "custom"):
+    if cfg.scenario not in CASE_AFFECTED:
+        names = ", ".join(CASE_AFFECTED)
+        raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}; expected one of {names}")
+    if cfg.eta > 0.0 and not CASE_AFFECTED[cfg.scenario]:
         raise ConfigError(
             f"eta: scenario {cfg.scenario!r} names no affected qubits, so eta must be 0"
         )
@@ -167,11 +172,6 @@ def _validate_config(cfg: RunConfig) -> None:
         _sample_grid(cfg.t_end, cfg.dt, cfg.sample_interval)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"t_end/dt/sample_interval: {exc}") from exc
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical JSON form; parse(serialize(cfg)) round-trips exactly."""
-    return json.dumps(dataclasses.asdict(cfg), indent=2) + "\n"
 
 
 def config_params(cfg: RunConfig) -> tuple[ModelParams, ModelParams]:
@@ -188,7 +188,7 @@ def config_params(cfg: RunConfig) -> tuple[ModelParams, ModelParams]:
             left_barrier=barriers.get("left"),
             right_barrier=barriers.get("right"),
         )
-        effective = apply_scenario(base, Scenario.named(cfg.scenario, cfg.eta))
+        effective = apply_scenario(base, cfg.scenario, cfg.eta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return base, effective
@@ -234,8 +234,21 @@ def run_states(
     """Evolve the named states as one batch under the generator of ``cfg``.
 
     ``cfg.state`` is not read.  Each trajectory passes the invariant gate
-    (trace error, sector populations, then F) before it is returned.
+    (trace error, sector populations, then F) before it is returned.  A run
+    whose kept trajectory would exceed ``_MAX_TRAJECTORY_BYTES`` is refused
+    before anything is built.
     """
+    n_samples = _sample_grid(cfg.t_end, cfg.dt, cfg.sample_interval)[0] + 1
+    try:  # complex128 samples of the reduced dim 3 * 4^N, one column per state
+        size = n_samples * len(SECTORS_REDUCED) * len(state_names) * 16 * 4.0**cfg.n_qubits
+    except OverflowError:
+        size = math.inf
+    if size > _MAX_TRAJECTORY_BYTES:
+        raise ConfigError(
+            f"the trajectory of {len(state_names)} state(s) at n_qubits={cfg.n_qubits} over "
+            f"{n_samples} samples would hold {size / 2**30:.3g} GiB, "
+            f"more than {_MAX_TRAJECTORY_BYTES / 2**30:g} GiB"
+        )
     base, params = config_params(cfg)
     try:
         amp_list = [states.state_by_name(name, cfg.n_qubits) for name in state_names]
@@ -339,7 +352,9 @@ def _fig3_specs(eta: float, zeta: float) -> list[SeriesSpec]:
     return specs
 
 
-def run_time_figure(name: str, t_end: float = 50.0, dt: float = 1e-3, si: float = 0.1) -> str:
+def run_time_figure(
+    name: str, t_end: float = 50.0, dt: float = DEFAULT_DT, si: float = 0.1
+) -> str:
     """CSV text of a time-series figure (fig2, fig3a, fig3b)."""
     if name == "fig2":
         specs = _fig2_specs()
@@ -358,7 +373,7 @@ def run_time_figure(name: str, t_end: float = 50.0, dt: float = 1e-3, si: float 
     return "\n".join(lines) + "\n"
 
 
-def run_eta_figure(name: str, t_end: float = 50.0, dt: float = 1e-3) -> str:
+def run_eta_figure(name: str, t_end: float = 50.0, dt: float = DEFAULT_DT) -> str:
     """CSV text of an eta sweep (fig4a: case ii, fig4b: case iii) at t_end."""
     case = {"fig4a": "case_ii", "fig4b": "case_iii"}.get(name)
     if case is None:
@@ -571,7 +586,13 @@ def baseline_cmd(
     state_name: str, gamma_d: float, t_end: float, sample_interval: float, out_path: str | None
 ) -> None:
     """Analytic collective-dephasing fidelity of a named state."""
-    n = 4 if state_name.startswith("psi") else 2
+    if state_name.startswith("custom"):
+        count = len(states._amplitude_fields(state_name))
+        n = count.bit_length() - 1
+        if count < 2 or count != 1 << n:
+            raise ConfigError(f"custom state needs 2^N amplitudes with N >= 1, got {count}")
+    else:
+        n = 4 if state_name.startswith("psi") else 2
     try:
         n_intervals, _ = _sample_grid(t_end, sample_interval, sample_interval)
     except ValueError as exc:

@@ -79,6 +79,9 @@ _KRYLOV_TOL = 1e-13
 _KRYLOV_CHUNK_NORM = 3.0
 # Largest number of samples a grid may hold: the trajectory keeps every one.
 _MAX_SAMPLES = 100_000
+# Largest trajectory a run may keep, in bytes (samples x dim x states of
+# complex128); a fig-style N = 6 run keeps about 98 MB.
+_MAX_TRAJECTORY_BYTES = 2 * 2**30
 # Bound on max|Im S L S^-1| / max|L|; rounding leaves about 1e-16.
 REAL_FORM_TOL = 1e-14
 

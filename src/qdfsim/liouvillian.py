@@ -64,12 +64,6 @@ SECTORS_REDUCED = ("a", "b", "c")
 _TRACE_TOL = 1e-12
 
 
-def flat_index(sector: int, z1: int, z2: int, n_qubits: int) -> int:
-    """Flat position of matrix element (z1, z2) of the given sector."""
-    d = 2**n_qubits
-    return (sector * d + z1) * d + z2
-
-
 @dataclass
 class SectorDM:
     """Density matrix resolved over the four island charge sectors.
@@ -93,56 +87,15 @@ class SectorDM:
             if m.shape != shape:
                 raise ValueError("all sector matrices must share one shape")
 
-    @property
-    def n_qubits(self) -> int:
-        return int(self.rho_a.shape[0]).bit_length() - 1
-
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return (self.rho_a, self.rho_b_up, self.rho_b_dn, self.rho_c)
-
-    def total_trace(self) -> complex:
-        return sum(np.trace(m) for m in self.matrices())
-
-    def sector_populations(self) -> dict[str, float]:
-        return {
-            name: float(np.trace(m).real)
-            for name, m in zip(SECTORS_FULL, self.matrices())
-        }
-
-    def qubit_dm(self) -> np.ndarray:
-        """Reduced qubit density matrix: the sum over the island sectors."""
-        return self.rho_a + self.rho_b_up + self.rho_b_dn + self.rho_c
-
-    def hermiticity_defect(self) -> float:
-        return max(float(np.abs(m - m.conj().T).max()) for m in self.matrices())
-
     def flatten(self, sectors: tuple[str, ...] = SECTORS_FULL) -> np.ndarray:
         """Flat vector in the documented layout, full or spin-reduced."""
         if sectors == SECTORS_FULL:
-            mats = self.matrices()
+            mats = (self.rho_a, self.rho_b_up, self.rho_b_dn, self.rho_c)
         elif sectors == SECTORS_REDUCED:
             mats = (self.rho_a, self.rho_b_up + self.rho_b_dn, self.rho_c)
         else:
             raise ValueError(f"unknown sector layout {sectors}")
         return np.concatenate([m.reshape(-1) for m in mats])
-
-    @classmethod
-    def from_flat(
-        cls, vec: np.ndarray, n_qubits: int, sectors: tuple[str, ...] = SECTORS_FULL
-    ) -> "SectorDM":
-        """Rebuild from a flat vector.
-
-        A reduced vector carries b_up + b_dn only; the sum is split evenly,
-        which is exact in the spin-symmetric regime the reduction assumes.
-        """
-        d = 2**n_qubits
-        mats = vec.reshape(len(sectors), d, d)
-        if sectors == SECTORS_FULL:
-            return cls(*(m.copy() for m in mats))
-        if sectors == SECTORS_REDUCED:
-            half_b = 0.5 * mats[1]
-            return cls(mats[0].copy(), half_b, half_b.copy(), mats[2].copy())
-        raise ValueError(f"unknown sector layout {sectors}")
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
-"""Physical parameters, joint spin-configuration indexing, and non-uniformity scenarios.
+"""Physical parameters, joint spin-configuration indexing, and the named
+non-uniformity cases.
 
 Conventions used throughout the package:
 
@@ -20,8 +21,6 @@ from typing import Iterable
 
 GAMMA0_UNIT = 1.0
 
-SCENARIO_NAMES = ("uniform", "case_i", "case_ii", "case_iii", "custom")
-
 # Which qubits a named non-uniformity case perturbs (defined for N = 4).
 CASE_AFFECTED = {
     "uniform": frozenset(),
@@ -29,13 +28,6 @@ CASE_AFFECTED = {
     "case_ii": frozenset({2, 3}),
     "case_iii": frozenset({4}),
 }
-
-
-def flip_index(z: int, j: int, n_qubits: int) -> int:
-    """Flip of qubit j (1-based); an involution on configuration indices."""
-    if not 1 <= j <= n_qubits:
-        raise ValueError(f"qubit index {j} out of range 1..{n_qubits}")
-    return z ^ (1 << (j - 1))
 
 
 @dataclass(frozen=True)
@@ -130,58 +122,32 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A named non-uniformity recipe: which qubits deviate, and by how much.
+def apply_scenario(base: ModelParams, name: str, eta: float) -> ModelParams:
+    """Return a copy of ``base`` with the named case's deviations applied.
 
-    Affected qubits get ``omega -> (1-eta) omega``, ``epsilon -> eta`` (in rate
-    units, replacing the base value), and both branch-rate parameters scaled
-    by ``(1-eta)`` so the relative modulation is preserved.
-    """
-
-    name: str
-    affected: frozenset[int]
-    eta: float
-
-    def __post_init__(self) -> None:
-        if self.name not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {self.name!r}; expected one of {SCENARIO_NAMES}")
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
-        if self.name != "custom" and self.affected != CASE_AFFECTED[self.name]:
-            raise ValueError(
-                f"scenario {self.name!r} must affect qubits {sorted(CASE_AFFECTED[self.name])}"
-            )
-
-    @classmethod
-    def named(cls, name: str, eta: float, affected: Iterable[int] = ()) -> "Scenario":
-        if name == "custom":
-            return cls("custom", frozenset(affected), float(eta))
-        if name not in CASE_AFFECTED:
-            raise ValueError(f"unknown scenario {name!r}")
-        return cls(name, CASE_AFFECTED[name], float(eta))
-
-
-def apply_scenario(base: ModelParams, scenario: Scenario) -> ModelParams:
-    """Return a copy of ``base`` with the scenario's deviations applied.
-
-    With ``eta == 0`` or an empty affected set the parameters are returned
+    The qubits ``CASE_AFFECTED[name]`` get ``omega -> (1-eta) omega``,
+    ``epsilon -> eta`` (in rate units, replacing the base value), and both
+    branch-rate parameters scaled by ``(1-eta)`` so the relative modulation is
+    preserved.  With ``eta == 0`` or ``uniform`` the parameters are returned
     unchanged (identity), which takes precedence over the absolute epsilon
-    replacement below.
+    replacement.
     """
-    if scenario.affected and max(scenario.affected) > base.n_qubits:
+    if name not in CASE_AFFECTED:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {tuple(CASE_AFFECTED)}")
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    affected = CASE_AFFECTED[name]
+    if affected and max(affected) > base.n_qubits:
         raise ValueError(
-            f"scenario affects qubit {max(scenario.affected)} but model has "
-            f"{base.n_qubits} qubits"
+            f"scenario affects qubit {max(affected)} but model has {base.n_qubits} qubits"
         )
-    if scenario.eta == 0.0 or not scenario.affected:
+    if eta == 0.0 or not affected:
         return base
-    eta = scenario.eta
     omega = list(base.omega)
     epsilon = list(base.epsilon)
     gamma0 = list(base.gamma0)
     delta_gamma = list(base.delta_gamma)
-    for k in scenario.affected:
+    for k in affected:
         i = k - 1
         omega[i] *= 1.0 - eta
         epsilon[i] = eta * GAMMA0_UNIT  # absolute replacement, not a scaling

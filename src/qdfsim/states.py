@@ -2,9 +2,8 @@
 vectors, and user-supplied amplitude lists.
 
 Amplitude vectors are indexed by the integer configuration index (qubit 1 is
-bit 0; a 0 bit is spin down).  By default the logical ``|0>`` of the
-decoherence-free construction is identified with spin down; pass
-``zero_is_down=False`` to swap the identification.
+bit 0; a 0 bit is spin down).  The logical ``|0>`` of the decoherence-free
+construction is identified with spin down.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ def _index(bits: str) -> int:
     return z
 
 
-# Coefficient tables over logical bit strings (qubit 1 first, |0> before the
-# optional spin swap).
+# Coefficient tables over logical bit strings (qubit 1 first, |0> = spin down).
 _SQ3 = float(np.sqrt(3.0))
 _DF4_COEFFS = {
     # singlet(1,2) x singlet(3,4)
@@ -56,22 +54,19 @@ _BELL_COEFFS = {
 }
 
 
-def _from_coeffs(coeffs: dict[str, float], n_qubits: int, zero_is_down: bool) -> np.ndarray:
+def _from_coeffs(coeffs: dict[str, float], n_qubits: int) -> np.ndarray:
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     for bits, c in coeffs.items():
-        z = _index(bits)
-        if not zero_is_down:
-            z ^= 2**n_qubits - 1
-        amps[z] = c
+        amps[_index(bits)] = c
     return amps
 
 
-def make_df4(which: str, zero_is_down: bool = True) -> np.ndarray:
+def make_df4(which: str) -> np.ndarray:
     """One of the three four-qubit decoherence-free vectors (psi1, psi2, psi3)."""
     key = which.lower()
     if key not in _DF4_COEFFS:
         raise ValueError(f"unknown four-qubit state {which!r}; expected psi1|psi2|psi3")
-    return _from_coeffs(_DF4_COEFFS[key], 4, zero_is_down)
+    return _from_coeffs(_DF4_COEFFS[key], 4)
 
 
 def make_bell(which: str) -> np.ndarray:
@@ -81,13 +76,18 @@ def make_bell(which: str) -> np.ndarray:
         key = f"bell-{key}"
     if key not in _BELL_COEFFS:
         raise ValueError(f"unknown Bell state {which!r}; expected a|b|c|d")
-    return _from_coeffs(_BELL_COEFFS[key], 2, True)
+    return _from_coeffs(_BELL_COEFFS[key], 2)
+
+
+def _amplitude_fields(spec: str) -> list[str]:
+    """The comma-separated amplitude fields of 'custom:<amplitudes>'."""
+    body = spec.split(":", 1)[1] if ":" in spec else spec
+    return [s.strip() for s in body.split(",")]
 
 
 def parse_custom(spec: str, n_qubits: int) -> np.ndarray:
     """Parse 'custom:<2^N comma-separated complex amplitudes>' and normalize."""
-    body = spec.split(":", 1)[1] if ":" in spec else spec
-    parts = [s.strip() for s in body.split(",")]
+    parts = _amplitude_fields(spec)
     d = 2**n_qubits
     if len(parts) != d:
         raise ValueError(f"custom state needs {d} amplitudes, got {len(parts)}")

@@ -1,9 +1,10 @@
 """Shared oracle helpers for the test suite.
 
 Everything here is deliberately independent of the package internals it is
-used to check: dense Hamiltonians are built by explicit Kronecker products,
-small linear systems are solved by eigen-decomposition, RK4 is run on the
-complex flat vector, and F(t) is reduced one sample at a time.
+used to check: flat and flipped indices are written out from the documented
+layout, dense Hamiltonians are built by explicit Kronecker products, small
+linear systems are solved by eigen-decomposition, RK4 is run on the complex
+flat vector, and F(t) is reduced one sample at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,19 @@ import pytest
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+
+
+def flat_index(sector: int, z1: int, z2: int, n_qubits: int) -> int:
+    """Flat position of matrix element (z1, z2) of the given sector."""
+    d = 2**n_qubits
+    return (sector * d + z1) * d + z2
+
+
+def flip_index(z: int, j: int, n_qubits: int) -> int:
+    """Flip of qubit j (1-based); an involution on configuration indices."""
+    if not 1 <= j <= n_qubits:
+        raise ValueError(f"qubit index {j} out of range 1..{n_qubits}")
+    return z ^ (1 << (j - 1))
 
 
 def kron_chain(ops: list[np.ndarray]) -> np.ndarray:
@@ -65,9 +79,21 @@ def complex_rk4(csr, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt
     return np.array(out)
 
 
+def fidelity(rho0: np.ndarray, rho_rot: np.ndarray) -> float:
+    """Overlap Tr[rho(0) rho'(t)] of one sample, with unit-trace and realness checks."""
+    tr0 = complex(np.trace(rho0))
+    tr1 = complex(np.trace(rho_rot))
+    if abs(tr0 - 1.0) > 1e-6 or abs(tr1 - 1.0) > 1e-6:
+        raise ValueError(f"fidelity needs unit-trace inputs: traces {tr0:.6g}, {tr1:.6g}")
+    f = complex(np.trace(rho0 @ rho_rot))
+    if abs(f.imag) > 1e-10:
+        raise ValueError(f"fidelity has non-real value {f}; inputs not hermitian?")
+    return f.real
+
+
 def fidelity_series_loop(times, flat_states, rho0, omega_prime, n_qubits, n_sectors) -> np.ndarray:
     """F(t) sample by sample through the single-sample reductions."""
-    from qdfsim.analysis import fidelity, qubit_dm_from_flat, rotating_frame
+    from qdfsim.analysis import qubit_dm_from_flat, rotating_frame
 
     return np.array(
         [

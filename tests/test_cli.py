@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,6 @@ from qdfsim.cli import (
     main,
     parse_config,
     run_single_csv,
-    serialize_config,
 )
 
 TINY_N2 = json.dumps(
@@ -74,18 +74,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="config: "):
             parse_config(text)
 
-    @pytest.mark.parametrize("scenario", ["uniform", "custom"])
+    @pytest.mark.parametrize("scenario", ["uniform"])
     def test_eta_needs_affected_qubits(self, scenario):
-        # neither scenario names affected qubits, so eta would be dropped
+        # the scenario names no affected qubits, so eta would be dropped
         with pytest.raises(ConfigError, match="eta"):
             parse_config(f'{{"scenario": "{scenario}", "eta": 0.05}}')
         assert parse_config(f'{{"scenario": "{scenario}", "eta": 0.0}}').eta == 0.0
 
     def test_roundtrip_idempotent(self):
         text = '{"n_qubits": 2, "state": "bell-b", "zeta": 0.6, "epsilon": [0.1, 0.2]}'
-        once = serialize_config(parse_config(text))
-        twice = serialize_config(parse_config(once))
+        once = json.dumps(dataclasses.asdict(parse_config(text)))
+        twice = json.dumps(dataclasses.asdict(parse_config(once)))
         assert once == twice
+
+    @pytest.mark.parametrize("scenario", ["custom", "case_iv"])
+    def test_unknown_scenario_rejected(self, scenario):
+        names = "uniform, case_i, case_ii, case_iii"
+        reason = f"scenario: unknown scenario '{scenario}'; expected one of {names}"
+        for eta in (0.0, 0.05):
+            with pytest.raises(ConfigError, match=reason):
+                parse_config(f'{{"scenario": "{scenario}", "eta": {eta}}}')
 
     def test_scenario_config_flows_into_params(self):
         cfg = parse_config('{"scenario": "case_i", "eta": 0.05}')
@@ -177,10 +185,11 @@ class TestCommands:
             '{"dt": NaN}',
             '{"omega": Infinity}',
             '{"scenario": "custom", "eta": 0.05}',
+            '{"scenario": "custom"}',
             '{"t_end": 0.5, "dt": 1.0}',
             '{"n_qubits": 2, "state": "bell-b", "t_end": 1.0, "sample_interval": 0.3}',
         ],
-        ids=["nan", "inf", "custom_eta", "dt_over_interval", "interval_over_t_end"],
+        ids=["nan", "inf", "custom_eta", "custom_scenario", "dt_over_interval", "interval_over_t_end"],
     )
     def test_bad_config_values_exit_two(self, tmp_path, text):
         cfg_file = tmp_path / "bad.json"
@@ -248,6 +257,26 @@ class TestCommands:
         (line,) = result.output.strip().splitlines()
         assert line.startswith("Error: dephasing rate must be finite and non-negative")
 
+    def test_baseline_custom_state_sets_n_qubits(self):
+        from qdfsim.states import make_df4
+
+        spec = "custom:" + ",".join(repr(float(a.real)) for a in make_df4("psi1"))
+        args = ["--gamma-d", "0.3", "--t-end", "2.0"]
+        custom = CliRunner().invoke(main, ["baseline", "--state", spec, *args])
+        named = CliRunner().invoke(main, ["baseline", "--state", "psi1", *args])
+        assert custom.exit_code == 0, custom.output
+        assert custom.output == named.output
+
+    @pytest.mark.parametrize("amps", ["1", "1,0,0", "1,0,0,0,0,0"])
+    def test_baseline_custom_amplitude_count_exit_two(self, amps):
+        args = ["baseline", "--state", f"custom:{amps}", "--gamma-d", "0.3"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        count = len(amps.split(","))
+        assert result.output.strip().splitlines() == [
+            f"Error: custom state needs 2^N amplitudes with N >= 1, got {count}"
+        ]
+
     def test_baseline_rejects_unknown_state(self):
         result = CliRunner().invoke(main, ["baseline", "--state", "ghz", "--gamma-d", "0.1"])
         assert result.exit_code == 2
@@ -313,6 +342,35 @@ class TestCommands:
         assert result.output.strip().splitlines() == [
             "Error: t_end/dt/sample_interval: the grid holds 1e+301 samples, more than 100,000"
         ]
+
+    @pytest.mark.parametrize(
+        "n, grid, size",
+        [
+            (6, {"t_end": 9999.9, "sample_interval": 0.1, "dt": 0.05}, "18.3 GiB"),
+            (10, {}, "23.5 GiB"),
+        ],
+        ids=["n6_long_grid", "n10_default_grid"],
+    )
+    def test_trajectory_bound_exit_two(self, tmp_path, monkeypatch, n, grid, size):
+        # refused before the parameters, states or generator are built
+        from qdfsim import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a run the trajectory bound refuses")
+
+        monkeypatch.setattr(cli, "config_params", never)
+        monkeypatch.setattr(cli, "reduced_generator", never)
+        state = "custom:" + ",".join(["1"] * 2**n)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"n_qubits": n, "state": state, **grid}))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert result.exit_code == 2, result.output
+        (line,) = result.output.strip().splitlines()
+        samples = 100_000 if grid else 501
+        assert line == (
+            f"Error: the trajectory of 1 state(s) at n_qubits={n} over {samples} samples "
+            f"would hold {size}, more than 2 GiB"
+        )
 
     def test_verify_passes_on_fresh_checkout(self):
         result = CliRunner().invoke(main, ["verify"])

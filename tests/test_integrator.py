@@ -22,7 +22,7 @@ from qdfsim.liouvillian import (
     assemble,
     reduce_spin_symmetric,
 )
-from qdfsim.model import ModelParams, Scenario, apply_scenario
+from qdfsim.model import ModelParams, apply_scenario
 from qdfsim.states import make_bell, make_df4, parse_custom, to_density
 
 from conftest import complex_rk4, eig_propagate
@@ -154,7 +154,7 @@ class TestInternalRoutes:
 
 def n4_generator():
     p = ModelParams.uniform(4, zeta=0.2, epsilon=[0.1, -0.3, 0.2, 0.4], j_coupling=[0.05, -0.1, 0.2])
-    return reduce_spin_symmetric(assemble(apply_scenario(p, Scenario.named("case_ii", 0.05))))
+    return reduce_spin_symmetric(assemble(apply_scenario(p, "case_ii", 0.05)))
 
 
 class TestRealForm:

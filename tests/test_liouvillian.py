@@ -13,12 +13,13 @@ from qdfsim.liouvillian import (
     SectorDM,
     _canonical,
     assemble,
-    flat_index,
     reduce_spin_symmetric,
     trace_violation,
 )
-from qdfsim.model import ModelParams, Scenario, apply_scenario
+from qdfsim.model import ModelParams, apply_scenario
 from qdfsim.states import make_bell, make_df4, to_density
+
+from conftest import flat_index, flip_index
 
 
 def nonuniform_params() -> ModelParams:
@@ -45,7 +46,7 @@ def case_ii_params() -> ModelParams:
         j_coupling=[0.1, -0.2, 0.15],
         primed_scale=1.3,
     )
-    return apply_scenario(base, Scenario.named("case_ii", 0.05))
+    return apply_scenario(base, "case_ii", 0.05)
 
 
 def dense_oracle(g: Generator) -> np.ndarray:
@@ -93,30 +94,19 @@ class TestDimensions:
 class TestSectorDM:
     def test_flatten_roundtrip_full(self):
         sdm = to_density(make_bell("c"))
-        back = SectorDM.from_flat(sdm.flatten(), 2, SECTORS_FULL)
-        for a, b in zip(sdm.matrices(), back.matrices()):
+        back = sdm.flatten().reshape(len(SECTORS_FULL), 4, 4)
+        for a, b in zip((sdm.rho_a, sdm.rho_b_up, sdm.rho_b_dn, sdm.rho_c), back):
             assert np.array_equal(a, b)
 
     def test_reduced_roundtrip_splits_evenly(self):
         rng = np.random.default_rng(3)
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         sdm = SectorDM(np.zeros((4, 4), complex), 0.5 * b, 0.5 * b, np.zeros((4, 4), complex))
-        back = SectorDM.from_flat(sdm.flatten(SECTORS_REDUCED), 2, SECTORS_REDUCED)
-        assert np.allclose(back.rho_b_up, 0.5 * b, atol=1e-15)
-        assert np.allclose(back.rho_b_dn, 0.5 * b, atol=1e-15)
-
-    def test_trace_and_populations(self):
-        sdm = to_density(make_df4("psi1"))
-        assert sdm.total_trace().real == pytest.approx(1.0, abs=1e-12)
-        pops = sdm.sector_populations()
-        assert pops["a"] == pytest.approx(1.0, abs=1e-12)
-        assert pops["b_up"] == pops["b_dn"] == pops["c"] == 0.0
-
-    def test_hermiticity_defect(self):
-        sdm = to_density(make_bell("d"))
-        assert sdm.hermiticity_defect() == 0.0
-        sdm.rho_a[0, 1] += 1e-3
-        assert sdm.hermiticity_defect() == pytest.approx(1e-3, rel=1e-6)
+        back = sdm.flatten(SECTORS_REDUCED).reshape(len(SECTORS_REDUCED), 4, 4)
+        # the reduced b block carries b_up + b_dn; its even split is each spin part
+        assert np.allclose(0.5 * back[1], sdm.rho_b_up, atol=1e-15)
+        assert np.allclose(0.5 * back[1], sdm.rho_b_dn, atol=1e-15)
+        assert np.array_equal(back[0], sdm.rho_a) and np.array_equal(back[2], sdm.rho_c)
 
     def test_shape_validation(self):
         z = np.zeros((4, 4), complex)
@@ -223,7 +213,7 @@ class TestEquationTranscription:
     def test_dense_generator_matches_independent_transcription(self):
         # rebuild the full equations entry by entry from the rate table and
         # config_energy only, structured differently from assemble()
-        from qdfsim.model import config_energy, flip_index
+        from qdfsim.model import config_energy
         from qdfsim.rates import rate_table
 
         p = nonuniform_params()

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdfsim.model import (
-    CASE_AFFECTED,
-    ModelParams,
-    Scenario,
-    apply_scenario,
-    config_energy,
-    flip_index,
-)
+from qdfsim.model import CASE_AFFECTED, ModelParams, apply_scenario, config_energy
 
-from conftest import dense_hamiltonian
+from conftest import dense_hamiltonian, flip_index
 
 
 class TestFlip:
@@ -137,24 +130,32 @@ class TestModelParams:
 
 class TestScenario:
     def test_named_cases(self):
-        assert Scenario.named("case_i", 0.05).affected == frozenset({3})
-        assert Scenario.named("case_ii", 0.05).affected == frozenset({2, 3})
-        assert Scenario.named("case_iii", 0.05).affected == frozenset({4})
+        assert CASE_AFFECTED["case_i"] == frozenset({3})
+        assert CASE_AFFECTED["case_ii"] == frozenset({2, 3})
+        assert CASE_AFFECTED["case_iii"] == frozenset({4})
         assert CASE_AFFECTED["uniform"] == frozenset()
+        base = ModelParams.uniform(4, zeta=0.2)
+        for name, affected in CASE_AFFECTED.items():
+            out = apply_scenario(base, name, 0.05)
+            assert {i + 1 for i in range(4) if out.omega[i] != base.omega[i]} == affected
 
     def test_eta_range(self):
+        base = ModelParams.uniform(4, zeta=0.2)
         with pytest.raises(ValueError):
-            Scenario.named("case_i", 1.0)
+            apply_scenario(base, "case_i", 1.0)
         with pytest.raises(ValueError):
-            Scenario.named("case_i", -0.1)
+            apply_scenario(base, "case_i", -0.1)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            Scenario.named("case_iv", 0.01)
+        base = ModelParams.uniform(4, zeta=0.2)
+        with pytest.raises(ValueError, match="unknown scenario"):
+            apply_scenario(base, "case_iv", 0.01)
+        with pytest.raises(ValueError, match="unknown scenario"):
+            apply_scenario(base, "custom", 0.0)
 
     def test_case_i_example(self):
         base = ModelParams.uniform(4, omega=2.0, zeta=0.2)
-        out = apply_scenario(base, Scenario.named("case_i", 0.05))
+        out = apply_scenario(base, "case_i", 0.05)
         assert out.omega[2] == pytest.approx(1.9, abs=1e-15)
         assert out.epsilon[2] == pytest.approx(0.05, abs=1e-15)
         assert out.gamma0[2] == pytest.approx(0.95, abs=1e-15)
@@ -165,15 +166,15 @@ class TestScenario:
     def test_eta_zero_is_identity(self):
         base = ModelParams.uniform(4, epsilon=0.4, zeta=0.3)
         for name in ("uniform", "case_i", "case_ii", "case_iii"):
-            assert apply_scenario(base, Scenario.named(name, 0.0)) is base
+            assert apply_scenario(base, name, 0.0) is base
 
     def test_uniform_scenario_is_identity_for_any_eta(self):
         base = ModelParams.uniform(4, zeta=0.3)
-        assert apply_scenario(base, Scenario.named("uniform", 0.05)) is base
+        assert apply_scenario(base, "uniform", 0.05) is base
 
     def test_case_ii_touches_only_qubits_2_and_3(self):
         base = ModelParams.uniform(4, omega=2.0, zeta=0.2)
-        out = apply_scenario(base, Scenario.named("case_ii", 0.05))
+        out = apply_scenario(base, "case_ii", 0.05)
         for i in (0, 3):
             assert out.omega[i] == base.omega[i]
             assert out.epsilon[i] == base.epsilon[i]
@@ -186,10 +187,4 @@ class TestScenario:
     def test_affected_out_of_range(self):
         base = ModelParams.uniform(2, zeta=0.2)
         with pytest.raises(ValueError):
-            apply_scenario(base, Scenario.named("case_iii", 0.05))
-
-    def test_custom_affected(self):
-        base = ModelParams.uniform(4, zeta=0.2)
-        out = apply_scenario(base, Scenario.named("custom", 0.1, affected=[1]))
-        assert out.omega[0] == pytest.approx(1.8, abs=1e-15)
-        assert out.omega[1:] == base.omega[1:]
+            apply_scenario(base, "case_iii", 0.05)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdfsim.model import ModelParams, Scenario, apply_scenario
+from qdfsim.model import ModelParams, apply_scenario
 from qdfsim.rates import rate_table
 
 
@@ -112,7 +112,7 @@ class TestBarrierRates:
 class TestRateTable:
     def test_matches_pointwise(self):
         base = ModelParams.uniform(4, zeta=0.45, primed_scale=1.2)
-        for p in (base, apply_scenario(base, Scenario.named("case_ii", 0.05))):
+        for p in (base, apply_scenario(base, "case_ii", 0.05)):
             table = rate_table(p)
             for z in range(16):
                 gl = series_oracle(z, p.left_barrier, p)

@@ -69,12 +69,6 @@ class TestDF4:
         total_sz = np.array([2 * bin(z).count("1") - 4 for z in range(16)])
         assert np.all(total_sz * v == 0.0)
 
-    def test_zero_is_down_swap(self):
-        v = make_df4("psi2")
-        w = make_df4("psi2", zero_is_down=False)
-        for z in range(16):
-            assert w[z] == v[z ^ 0xF]
-
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             make_df4("psi4")
@@ -127,7 +121,8 @@ class TestToDensity:
 
     def test_unit_trace(self):
         sdm = to_density(make_df4("psi2"))
-        assert sdm.total_trace().real == pytest.approx(1.0, abs=1e-12)
+        total = sum(np.trace(m) for m in (sdm.rho_a, sdm.rho_b_up, sdm.rho_b_dn, sdm.rho_c))
+        assert total.real == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_rank_one(self):
         sdm = to_density(make_df4("psi3"))
