@@ -228,6 +228,31 @@ def _gate(
         )
 
 
+# Peak memory of building the run's generator (assemble, spin reduction and
+# real_form) per full-generator entry, rounded up: measured 91 B at N = 8 and
+# 126 B at N = 5.
+_BUILD_BYTES_PER_ENTRY = 128
+
+
+def _check_generator_size(n_qubits: int) -> None:
+    """Refuse a generator whose build would exceed ``_MAX_TRAJECTORY_BYTES``.
+
+    Each row of the full generator holds at most its diagonal, 2N qubit flips
+    and two rate gains, so it has at most ``4 * 4^N * (2N + 3)`` entries.
+    """
+    try:
+        entries = 4 * 4.0**n_qubits * (2 * n_qubits + 3)
+    except OverflowError:
+        entries = math.inf
+    size = entries * _BUILD_BYTES_PER_ENTRY
+    if size > _MAX_TRAJECTORY_BYTES:
+        raise ConfigError(
+            f"the generator at n_qubits={n_qubits} has up to {entries:.3g} entries and would "
+            f"take about {size / 2**30:.3g} GiB to build, "
+            f"more than {_MAX_TRAJECTORY_BYTES / 2**30:g} GiB"
+        )
+
+
 def run_states(
     cfg: RunConfig, state_names: list[str], baseline_frame: bool = False
 ) -> list[RunResult]:
@@ -235,8 +260,8 @@ def run_states(
 
     ``cfg.state`` is not read.  Each trajectory passes the invariant gate
     (trace error, sector populations, then F) before it is returned.  A run
-    whose kept trajectory would exceed ``_MAX_TRAJECTORY_BYTES`` is refused
-    before anything is built.
+    whose kept trajectory, or whose generator build, would exceed
+    ``_MAX_TRAJECTORY_BYTES`` is refused before anything is built.
     """
     n_samples = _sample_grid(cfg.t_end, cfg.dt, cfg.sample_interval)[0] + 1
     try:  # complex128 samples of the reduced dim 3 * 4^N, one column per state
@@ -249,6 +274,7 @@ def run_states(
             f"{n_samples} samples would hold {size / 2**30:.3g} GiB, "
             f"more than {_MAX_TRAJECTORY_BYTES / 2**30:g} GiB"
         )
+    _check_generator_size(cfg.n_qubits)
     base, params = config_params(cfg)
     try:
         amp_list = [states.state_by_name(name, cfg.n_qubits) for name in state_names]
@@ -634,6 +660,7 @@ def verify() -> None:
 def dump_generator(config_path: str, dump_full: bool) -> None:
     """Print the assembled generator entries in the debug text format."""
     cfg = parse_config(Path(config_path).read_text())
+    _check_generator_size(cfg.n_qubits)
     _, params = config_params(cfg)
     try:
         g = assemble(params)

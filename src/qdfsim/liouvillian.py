@@ -8,35 +8,31 @@ state is carried by four matrices over configuration pairs (z1, z2):
 * ``rho_b_up`` / ``rho_b_dn`` -- singly occupied island,
 * ``rho_c``   -- doubly occupied island.
 
-Every sector obeys one equation (D = 2^N configurations, ``o`` the
-elementwise product)::
+The joint state on qubits (x) island obeys a Lindblad master equation,
+with ``H = diag(E) + sum_j omega_j X_j`` (``E_z`` the diagonal configuration
+energy, ``X_j`` the flip of qubit j, D = 2^N configurations)::
 
-    d rho_s/dt = -i [H, rho_s] + sum_s' K_ss' o rho_s'
+    d rho/dt = -i [H (x) I, rho] + sum_k (L_k rho L_k^+ - {L_k^+ L_k, rho} / 2)
 
-with the qubit Hamiltonian ``H = diag(E) + sum_j omega_j X_j`` (``E_z`` the
-diagonal configuration energy, ``X_j`` the flip of qubit j) and D x D rate
-matrices built from the configuration rate table (GL, GR and their primed
-values); ``b`` is either spin sector, and the two never couple::
+``channels`` lists the jumps ``L = diag(sqrt(r)) (x) |to><from|``; per spin
+sector b of the island there are four::
 
-    K_aa = -(GL (+) GL)                    K_ab = sqrt(GR) sqrt(GR)^T
-    K_bb = -(GL' (+) GL' + GR (+) GR) / 2  K_ba = sqrt(GL) sqrt(GL)^T
-                                           K_bc = sqrt(GR') sqrt(GR')^T
-    K_cc = -(GR' (+) GR')                  K_cb = sqrt(GL') sqrt(GL')^T
+    diag(sqrt GL)  (x) |b><a|      diag(sqrt GR)  (x) |a><b|
+    diag(sqrt GL') (x) |c><b|      diag(sqrt GR') (x) |b><c|
 
-where ``(u (+) v)[z1, z2] = u[z1] + v[z2]``.  ``assemble`` writes exactly
-that.  With the row-major identity ``vec(A rho B) = (A (x) B^T) vec rho`` and
-H real symmetric, the commutator is ``-i (H (x) I - I (x) H)`` on every
-sector; the rates are one 4 x 4 block table of ``diag(K_ss'.ravel())``
-blocks.
+Jumps keep the island diagonal, so the four sector matrices close: a jump
+adds ``sqrt(r) sqrt(r)^T o rho_from`` to the ``to`` sector and
+``-(r (+) r) / 2 o rho_from`` to its own (``o`` elementwise,
+``(u (+) v)[z1, z2] = u[z1] + v[z2]``).  With the row-major identity
+``vec(A rho B) = (A (x) B^T) vec rho`` and H real symmetric, the commutator
+is ``-i (H (x) I - I (x) H)`` on every sector.
 
 The island is spin degenerate, so the evolution closes on
 (a, b_up + b_dn, c).  ``reduce_spin_symmetric`` builds that three-sector
-generator (768 coupled equations for four qubits) as the projection
-``P L E``: ``P`` sums the b_up and b_dn rows, and ``E`` embeds the reduced b
-as an even split.  Both spin rows gain ``K_ba o a``, so the reduced b row
-gains ``2 K_ba o a`` (and ``2 K_bc o c``); that is the factor 2 on the
-reduced b gains.  The a row gains ``K_ab o (b/2)`` from each spin sector,
-which sums to the plain ``K_ab o b``, and likewise for c.
+generator as the projection ``P L E``: ``P`` sums the b_up and b_dn rows,
+and ``E`` embeds the reduced b as an even split.  The channels out of a and
+c have multiplicity 2, one jump per spin, hence the factor 2 on the reduced
+b gains; a and c gain from each spin half of b, which sums to the plain b.
 
 Flat layout (the contract shared with the integrator and the exact-exponential
 oracle): sector-major, then z1-major, z2-minor::
@@ -169,14 +165,25 @@ def _canonical(n_qubits: int, sectors: tuple[str, ...], m: sp.spmatrix) -> Gener
     return g
 
 
+def channels(p: ModelParams) -> list[tuple[str, tuple[str, ...], np.ndarray]]:
+    """The island's jump channels as ``(from sector, to sectors, rate)``.
+
+    Each target is one jump ``diag(sqrt(rate)) (x) |to><from|``.  The empty
+    island fills through the left barrier (GL), the full one empties through
+    the right (GR'), and each spin leaves for c (GL') and then for a (GR), the
+    summation order of the b loss.
+    """
+    t = rate_table(p)
+    spins = ("b_up", "b_dn")
+    out = [("a", spins, t.gamma_L)]
+    for b in spins:
+        out += [(b, ("c",), t.gamma_L_primed), (b, ("a",), t.gamma_R)]
+    return out + [("c", spins, t.gamma_R_primed)]
+
+
 def assemble(p: ModelParams) -> Generator:
     """Assemble the full four-sector generator from the model parameters."""
-    n = p.n_qubits
-    d = 2**n
-    rates = rate_table(p)
-    gl, gr = rates.gamma_L, rates.gamma_R
-    glp, grp = rates.gamma_L_primed, rates.gamma_R_primed
-
+    d = 2**p.n_qubits
     z = np.arange(d)
     h = np.diag([config_energy(k, p) for k in range(d)])
     for j, w in enumerate(p.omega):
@@ -184,25 +191,18 @@ def assemble(p: ModelParams) -> Generator:
     h = sp.csr_matrix(h)
     eye = sp.identity(d, format="csr")
     coherent = -1j * (sp.kron(h, eye) - sp.kron(eye, h))
-
-    def gain(rate: np.ndarray) -> np.ndarray:
-        return np.outer(np.sqrt(rate), np.sqrt(rate))
-
-    def ksum(rate: np.ndarray) -> np.ndarray:
-        return rate[:, None] + rate[None, :]
-
-    # summed left to right, GL'[z1] + GL'[z2] + GR[z1] + GR[z2], so every bit of
-    # the b loss is reproducible against the written equations
-    loss_b = -0.5 * (glp[:, None] + glp[None, :] + gr[:, None] + gr[None, :])
-    table = [
-        [-ksum(gl), gain(gr), gain(gr), None],
-        [gain(gl), loss_b, None, gain(grp)],
-        [gain(gl), None, loss_b, gain(grp)],
-        [None, gain(glp), gain(glp), -ksum(grp)],
-    ]
-    blocks = [[None if k is None else sp.diags(k.ravel()) for k in row] for row in table]
-    m = sp.kron(sp.identity(len(SECTORS_FULL)), coherent) + sp.bmat(blocks)
-    return _canonical(n, SECTORS_FULL, m)
+    # a gain block per jump; a loss block of minus half the escape sum, in channel order
+    blocks = [[None] * len(SECTORS_FULL) for _ in SECTORS_FULL]
+    escape = [0.0] * len(SECTORS_FULL)
+    for src, targets, r in channels(p):
+        s, m = SECTORS_FULL.index(src), len(targets)
+        for to in targets:
+            blocks[SECTORS_FULL.index(to)][s] = sp.diags(np.outer(np.sqrt(r), np.sqrt(r)).ravel())
+        escape[s] = escape[s] + m * r[:, None] + m * r[None, :]
+    for s, e in enumerate(escape):
+        blocks[s][s] = sp.diags((-0.5 * e).ravel())
+    coherent_all = sp.kron(sp.identity(len(SECTORS_FULL)), coherent)
+    return _canonical(p.n_qubits, SECTORS_FULL, coherent_all + sp.bmat(blocks))
 
 
 def reduce_spin_symmetric(g: Generator) -> Generator:

@@ -5,7 +5,8 @@ qubits on one barrier act like tunnel resistances in series, so the barrier
 rate is the harmonic combination of the per-qubit branch rates
 ``gamma0_i + s_i * delta_gamma_i``.  Primed rates (electrode evaluated at the
 energy shifted by the island charging energy) are the same combination scaled
-by ``primed_scale``.
+by ``primed_scale``.  These rates set the strength of the Lindblad jump
+operators of the island, ``liouvillian.channels``.
 """
 
 from __future__ import annotations

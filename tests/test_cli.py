@@ -372,6 +372,38 @@ class TestCommands:
             f"would hold {size}, more than 2 GiB"
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "dump-generator"])
+    def test_generator_bound_exit_two(self, tmp_path, monkeypatch, command):
+        # two samples keep 100 MB of trajectory, but the N = 10 generator
+        # (96.5M entries) is refused before the parameters or generator are built
+        from qdfsim import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a generator the size bound refuses")
+
+        monkeypatch.setattr(cli, "config_params", never)
+        monkeypatch.setattr(cli, "assemble", never)
+        state = "custom:" + ",".join(["1"] * 2**10)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(
+            json.dumps({"n_qubits": 10, "state": state, "t_end": 0.1, "sample_interval": 0.1})
+        )
+        result = CliRunner().invoke(main, [command, "--config", str(cfg_file)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines() == [
+            "Error: the generator at n_qubits=10 has up to 9.65e+07 entries and would take "
+            "about 11.5 GiB to build, more than 2 GiB"
+        ]
+
+    def test_generator_bound_admits_eight_qubits(self):
+        from qdfsim.cli import _check_generator_size
+
+        for n in range(2, 9):
+            _check_generator_size(n)
+        for n in (9, 10, 10**6):
+            with pytest.raises(ConfigError, match=f"n_qubits={n} has up to"):
+                _check_generator_size(n)
+
     def test_verify_passes_on_fresh_checkout(self):
         result = CliRunner().invoke(main, ["verify"])
         assert result.exit_code == 0, result.output

@@ -19,7 +19,7 @@ from qdfsim.liouvillian import (
 from qdfsim.model import ModelParams, apply_scenario
 from qdfsim.states import make_bell, make_df4, to_density
 
-from conftest import flat_index, flip_index
+from conftest import dense_hamiltonian, flat_index, flip_index
 
 
 def nonuniform_params() -> ModelParams:
@@ -81,6 +81,13 @@ class TestDimensions:
         g = assemble(ModelParams.uniform(2, zeta=0.2))
         assert g.dim == 64
         assert reduce_spin_symmetric(g).dim == 48
+
+    def test_entry_count(self):
+        # 4 * 4^N * (2N + 3): a diagonal, 2N flips and two gains per row, the
+        # count the CLI's generator-size bound rests on
+        for n in (2, 3, 4):
+            p = ModelParams.uniform(n, zeta=0.2, epsilon=0.1, j_coupling=0.05)
+            assert assemble(p).nnz == 4 * 4**n * (2 * n + 3)
 
     def test_flat_layout(self):
         # sector-major, z1-major, z2-minor
@@ -253,6 +260,84 @@ class TestEquationTranscription:
 
         got = dense_oracle(assemble(p))
         assert np.abs(got - ref).max() < 1e-14
+
+
+def three_qubit_params() -> ModelParams:
+    """N=3 with bias, coupling and primed rates != 1 on an uneven barrier split."""
+    return ModelParams.uniform(3, zeta=0.2, epsilon=0.1, j_coupling=0.05, primed_scale=1.3)
+
+
+def dense_lindbladian(p: ModelParams) -> np.ndarray:
+    """Dense Lindblad generator on the row-major (island (x) qubits) Liouville
+    space, written from the rate table: per spin sector b the jumps
+    sqrt(GL)|b><a|, sqrt(GR)|a><b|, sqrt(GL')|c><b| and sqrt(GR')|b><c|."""
+    from qdfsim.rates import rate_table
+
+    t = rate_table(p)
+
+    def jump(to, frm, rate):
+        island = np.zeros((4, 4))
+        island[to, frm] = 1.0
+        return np.kron(island, np.diag(np.sqrt(rate)))
+
+    jumps = []
+    for b in (1, 2):
+        jumps += [
+            jump(b, 0, t.gamma_L),
+            jump(0, b, t.gamma_R),
+            jump(3, b, t.gamma_L_primed),
+            jump(b, 3, t.gamma_R_primed),
+        ]
+    h = np.kron(np.eye(4), dense_hamiltonian(p.omega, p.epsilon, p.j_coupling))
+    eye = np.eye(len(h))
+    # row-major vec(A rho B) = (A (x) B^T) vec(rho)
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for jmp in jumps:
+        jj = jmp.conj().T @ jmp
+        out += np.kron(jmp, jmp.conj()) - 0.5 * np.kron(jj, eye) - 0.5 * np.kron(eye, jj.T)
+    return out
+
+
+class TestLindblad:
+    @pytest.mark.parametrize("params", [nonuniform_params, three_qubit_params], ids=["n2", "n3"])
+    def test_island_diagonal_block_matches_assemble(self, params):
+        p = params()
+        d = 2**p.n_qubits
+        lind = dense_lindbladian(p)
+        # Liouville index of rho[(s, z1), (s, z2)], in the flat (s, z1, z2) order
+        s, z1, z2 = np.meshgrid(np.arange(4), np.arange(d), np.arange(d), indexing="ij")
+        diag = ((s * d + z1) * 4 * d + s * d + z2).ravel()
+        coherence = np.setdiff1d(np.arange(len(lind)), diag)
+        got = assemble(p).as_dense()
+        err = np.abs(lind[np.ix_(diag, diag)] - got).max() / np.abs(got).max()
+        assert err <= 1e-15
+        # closed: island-diagonal states never feed the island coherences
+        assert np.all(lind[np.ix_(coherence, diag)] == 0.0)
+
+    @staticmethod
+    def assert_left_half_plane(p: ModelParams) -> None:
+        full = assemble(p)
+        for g in (full, reduce_spin_symmetric(full)):
+            dense = g.as_dense()
+            assert np.linalg.eigvals(dense).real.max() <= 1e-12 * np.abs(dense).max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        omega=st.floats(0.0, 4.0),
+        zeta=st.floats(0.0, 0.9),
+        eps=st.floats(-1.0, 1.0),
+        jc=st.floats(-1.0, 1.0),
+        scale=st.floats(0.2, 3.0),
+    )
+    def test_spectrum_in_closed_left_half_plane(self, omega, zeta, eps, jc, scale):
+        self.assert_left_half_plane(
+            ModelParams.uniform(
+                2, omega=omega, zeta=zeta, epsilon=eps, j_coupling=jc, primed_scale=scale
+            )
+        )
+
+    def test_spectrum_in_closed_left_half_plane_three_qubits(self):
+        self.assert_left_half_plane(three_qubit_params())
 
 
 class TestApply:
