@@ -9,16 +9,20 @@ routes apply that same map and differ only in how it is evaluated:
 * stepwise: the four sparse products of each step, one step at a time;
 * dense propagator: ``P(dt L)`` formed once as a dense matrix, raised to the
   m-th power, and applied sample to sample with BLAS products;
-* Krylov: ``P(dt L)^m x`` evaluated in an Arnoldi basis of the sparse L and
+* Krylov: ``P(dt L)^s x`` evaluated in an Arnoldi basis of the sparse L and
   x (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J.
-  Numer. Anal. 34, 1911 (1997)) as ``|x| V_k P(dt H_k)^m e_1``.  Each chunk
-  of at most ``3 / (dt ||L||_inf)`` steps is accepted when the a-posteriori
-  estimate ``h_{k+1,k} |e_k^T P(dt H_k)^m e_1|`` is at most 1e-13 relative
-  to |x|; the projection is exact on a breakdown and whenever the degree 4m
-  is below k, so a chunk that misses the estimate within 60 basis vectors is
-  retried at half the steps and always ends.  The result is RK4's map up to
-  that projection error, not another integrator: the step ``dt`` keeps its
-  truncation error and its stability limit.
+  Numer. Anal. 34, 1911 (1997)) as ``|x| V_k P(dt H_k)^s e_1``.  One basis
+  serves every power s, so it advances its column over as many samples as
+  its a-posteriori estimate ``h_{k+1,k} |e_k^T P(dt H_k)^s e_1|`` allows
+  (at most 1e-13 relative to |x|), in pieces of one sample or of at most
+  ``3 / (dt ||L||_inf)`` steps, and each sample it crosses is written from
+  it (Expokit's dense output, Sidje, ACM TOMS 24, 130 (1998)); the next
+  basis starts from the last accepted state.  The projection is exact on a
+  breakdown and whenever the degree 4s is below k, so a piece that misses
+  the estimate in a fresh basis of 60 vectors is retried at half the steps
+  and always ends.  The result is RK4's map up to that projection error,
+  not another integrator: the step ``dt`` keeps its truncation error and its
+  stability limit.
 
 Routing: a generator of dimension above 768 (N >= 5) takes the Krylov route,
 so no dense matrix of its dimension is built; smaller ones take the
@@ -77,6 +81,7 @@ _STEPWISE_CUTOFF = 2500
 _KRYLOV_MAX_BASIS = 60
 _KRYLOV_TOL = 1e-13
 _KRYLOV_CHUNK_NORM = 3.0
+_EPS = float(np.finfo(np.float64).eps)
 # Largest number of samples a grid may hold: the trajectory keeps every one.
 _MAX_SAMPLES = 100_000
 # Largest trajectory a run may keep, in bytes (samples x dim x states of
@@ -256,8 +261,8 @@ def _evolve_stepwise(
     return out
 
 
-def _rk4_power_e1(h: np.ndarray, dt: float, m: int) -> np.ndarray:
-    """First column of P(dt h)^m for a small dense h, by binary powering.
+def _rk4_power(h: np.ndarray, dt: float, m: int) -> np.ndarray:
+    """P(dt h)^m for a small dense h and m >= 1, by binary powering.
 
     P is the polynomial of :func:`_rk4_step_matrix`; the powers are not taken
     with ``np.linalg.matrix_power``, which the dense route alone uses.
@@ -267,89 +272,127 @@ def _rk4_power_e1(h: np.ndarray, dt: float, m: int) -> np.ndarray:
     for j in range(1, 5):
         term = (term @ scaled) / j
         step = step + term
-    y = np.zeros(len(h))
-    y[0] = 1.0
+    power = None
     while m:
         if m & 1:
-            y = step @ y
+            power = step if power is None else power @ step
         m >>= 1
         if m:
             step = step @ step
-    return y
+    return power
 
 
-def _krylov_chunk(
-    l_r: sp.csr_matrix, x: np.ndarray, m: int, dt: float, basis: np.ndarray, k_check: int
-) -> tuple[np.ndarray | None, int]:
-    """P(dt L_r)^m x projected on the Krylov space of L_r and x.
+def _arnoldi(
+    l_r: sp.csr_matrix, x: np.ndarray, basis: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """Arnoldi on L_r and a finite non-zero x, into the rows of ``basis``.
 
-    Arnoldi with two passes of classical Gram-Schmidt builds the orthonormal
-    rows of ``basis`` and the Hessenberg h.  From basis size ``k_check`` on,
-    the projection ``|x| V_k P(dt h_k)^m e_1`` is accepted when its error
-    estimate ``h[k, k-1] |y[k-1]|`` is at most ``_KRYLOV_TOL``; it is exact
-    on a breakdown (h[k, k-1] = 0) and once the degree 4m is below k.
-    Returns (the result or None when the basis cap is reached, the basis size).
+    Two passes of classical Gram-Schmidt per vector build the orthonormal
+    rows ``basis[:k]`` and the k x k Hessenberg h, for k up to the number of
+    rows.  Returns (|x|, h, h[k, k-1]).  The last is 0.0 when the space
+    closed, where the projection is exact: at the full dimension, or on a
+    breakdown, when what is left of ``L_r v_k`` is rounding.  Exact zeros in
+    L_r leave about 1e-31 of it, not 0, and a vector made from that would be
+    noise.
     """
     scale = float(np.abs(x).max())
-    if scale == 0.0 or not np.isfinite(scale):
-        return x, 0  # zero stays zero; a non-finite state is left to _check_finite
     basis[0] = x / scale  # |x| itself may overflow while x does not
     beta = float(np.linalg.norm(basis[0]))
     basis[0] /= beta
-    beta *= scale
-    cap = basis.shape[0] - 1
-    h = np.zeros((cap + 1, cap))
+    cap = basis.shape[0]
+    h = np.zeros((cap, cap))
     for k in range(1, cap + 1):
         w = l_r @ basis[k - 1]
+        product = float(np.linalg.norm(w))
         for _ in range(2):
             c = basis[:k] @ w
             w -= c @ basis[:k]
             h[:k, k - 1] += c
-        h[k, k - 1] = h_next = np.linalg.norm(w)
-        exact = h_next == 0.0 or 4 * m < k
-        if exact or k >= k_check:
-            y = _rk4_power_e1(h[:k, :k], dt, m)
-            if exact or h_next * abs(y[-1]) <= _KRYLOV_TOL:
-                return beta * (y @ basis[:k]), k
-        basis[k] = w / h_next
-    return None, cap
+        h_next = float(np.linalg.norm(w))
+        if h_next <= _EPS * product or k == len(w):
+            return beta * scale, h[:k, :k], 0.0
+        if k < cap:
+            h[k, k - 1] = h_next
+            basis[k] = w / h_next
+    return beta * scale, h, h_next
+
+
+class _KrylovWalk:
+    """One real column under RK4's map, walked in an Arnoldi basis.
+
+    The basis of L_r and the state x it was built from serves every power of
+    the step map: ``P(dt L_r)^s x`` is ``|x| V_k P(dt h_k)^s e_1`` for any s
+    up to the projection error.  The walk keeps the coefficients y of the
+    current state and advances them by ``P(dt h_k)^m`` in pieces of at most
+    ``unit`` steps.  A piece is accepted when the basis is exact for it (a
+    closed space, or a degree 4s below k) or when the estimate
+    ``h[k, k-1] |y[k-1]|`` is at most ``_KRYLOV_TOL``; the first piece that
+    is not restarts the basis from the last accepted state.  When not even
+    the first piece of a fresh basis is accepted, the piece is halved for
+    that basis alone; one step is exact in a basis of five.
+    """
+
+    def __init__(self, l_r: sp.csr_matrix, x: np.ndarray, dt: float, unit: int):
+        self.l_r, self.dt, self.unit = l_r, dt, unit
+        self.basis = np.empty((min(_KRYLOV_MAX_BASIS, l_r.shape[0]), l_r.shape[0]))
+        self._restart(x)
+
+    def _restart(self, x: np.ndarray) -> None:
+        self.x, self.walked, self.piece, self.powers = x, 0, self.unit, {}
+        scale = float(np.abs(x).max())
+        if scale == 0.0 or not np.isfinite(scale):
+            self.y = None  # zero stays zero; a non-finite state is left to _check_finite
+            return
+        self.beta, self.h, self.h_next = _arnoldi(self.l_r, x, self.basis)
+        self.y = np.zeros(len(self.h))
+        self.y[0] = 1.0
+
+    def state(self) -> np.ndarray:
+        """The current state, formed from the basis."""
+        if not self.walked:
+            return self.x
+        return self.beta * (self.y @ self.basis[: len(self.y)])
+
+    def advance(self, steps: int) -> np.ndarray:
+        """The state ``steps`` RK4 steps on."""
+        while steps and self.y is not None:
+            m = min(self.piece, steps)
+            if m not in self.powers:
+                self.powers[m] = _rk4_power(self.h, self.dt, m)
+            y = self.powers[m] @ self.y
+            s, k = self.walked + m, len(y)
+            if self.h_next == 0.0 or 4 * s < k or self.h_next * abs(y[-1]) <= _KRYLOV_TOL:
+                self.y, self.walked, steps = y, s, steps - m
+            elif self.walked:
+                self._restart(self.state())
+            else:
+                self.piece = max(1, m // 2)
+        return self.state()
 
 
 def _evolve_krylov(
     g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float
 ) -> np.ndarray:
-    """RK4 samples with each interval's P(dt L_r)^steps applied in a Krylov basis.
+    """RK4 samples with each column walked in Krylov bases of L_r.
 
-    An interval is split evenly into chunks of at most ``_KRYLOV_CHUNK_NORM /
-    (dt ||L_r||_inf)`` steps; a chunk whose estimate is not met within
-    ``_KRYLOV_MAX_BASIS`` vectors is retried at half the steps, down to one
-    step, which is exact in a basis of five.
+    One basis serves as many samples as its estimate allows (the dense output
+    of Sidje, ACM TOMS 24, 130 (1998)); see :class:`_KrylovWalk`.  It walks
+    in pieces of one sample or, when ``dt ||L_r||_inf`` times a sample
+    exceeds ``_KRYLOV_CHUNK_NORM``, of a sample split evenly into pieces
+    within that bound (the last piece may be shorter).
     """
     rf = _checked_real_form(g)
-    l_r = rf.l_r
-    norm = float(abs(l_r).sum(axis=1).max())  # largest absolute row sum
+    norm = float(abs(rf.l_r).sum(axis=1).max())  # largest absolute row sum
     chunk = steps_per_sample
     if norm * dt * chunk > _KRYLOV_CHUNK_NORM:
         chunk = max(1, int(_KRYLOV_CHUNK_NORM / (norm * dt)))
+    pieces = (steps_per_sample + chunk - 1) // chunk
+    unit = (steps_per_sample + pieces - 1) // pieces  # an even split of one sample
     out = np.empty((n_intervals + 1,) + v0.shape, dtype=np.complex128)
     out[0] = v0
-    cols = _to_real(rf, v0).T.copy()  # one contiguous row per real column
-    basis = np.empty((_KRYLOV_MAX_BASIS + 1, g.dim))
-    k_last = [1] * len(cols)  # basis size the column's last chunk needed
+    walks = [_KrylovWalk(rf.l_r, x, dt, unit) for x in _to_real(rf, v0).T.copy()]
     for i in range(1, n_intervals + 1):
-        for c in range(len(cols)):
-            x = cols[c]
-            done = 0
-            while done < steps_per_sample:
-                left = steps_per_sample - done
-                pieces = (left + chunk - 1) // chunk
-                m = (left + pieces - 1) // pieces  # even split of the steps left
-                y, k = _krylov_chunk(l_r, x, m, dt, basis, max(1, k_last[c] - 1))
-                if y is None:
-                    chunk = max(1, m // 2)
-                    continue
-                x, done, k_last[c] = y, done + m, k
-            cols[c] = x
+        cols = np.stack([w.advance(steps_per_sample) for w in walks])
         _check_finite(cols, i * steps_per_sample)
         _from_real(rf, cols.T, out[i])
     return out

@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim import integrator
@@ -228,6 +232,16 @@ def n5_setup():
     return g, to_density(parse_custom(spec, 5)).flatten(SECTORS_REDUCED)
 
 
+@functools.cache
+def _small_generators():
+    """(g, v0) at N = 2 and N = 3, built once for the property test."""
+    p3 = ModelParams.uniform(3, zeta=0.6, epsilon=[0.2, -0.1, 0.3], j_coupling=[0.1, -0.2])
+    amps3 = np.cos(np.arange(8) * 0.9) + 1j * np.sin(np.arange(8) * 0.4)
+    spec3 = "custom:" + ",".join(repr(complex(a)) for a in amps3)
+    v3 = to_density(parse_custom(spec3, 3)).flatten(SECTORS_REDUCED)
+    return {2: bell_setup(zeta=0.6)[1::2], 3: (reduce_spin_symmetric(assemble(p3)), v3)}
+
+
 class TestKrylovRoute:
     def test_long_interval_is_chunked_and_matches_propagator(self):
         _, g, _, v0 = bell_setup(zeta=0.6)
@@ -240,9 +254,88 @@ class TestKrylovRoute:
     def test_five_qubits_match_stepwise(self):
         g, v0 = n5_setup()
         assert g.dim == 3072
-        a = _evolve_krylov(g, v0, 2, 100, 1e-3)
-        b = _evolve_stepwise(g, v0, 2, 100, 1e-3)
+        a = _evolve_krylov(g, v0, 20, 100, 1e-3)
+        b = _evolve_stepwise(g, v0, 20, 100, 1e-3)
         assert np.abs(a - b).max() <= 1e-12
+
+    def test_fig_grid_four_qubits_matches_propagator(self):
+        # a fig3b-style group forced through the Krylov route: t 50, interval
+        # 0.1, psi1-psi3 as one batch
+        p = apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05)
+        g = reduce_spin_symmetric(assemble(p))
+        v0 = np.stack(
+            [to_density(make_df4(s)).flatten(SECTORS_REDUCED) for s in ("psi1", "psi2", "psi3")],
+            axis=1,
+        )
+        a = _evolve_krylov(g, v0, 500, 100, 1e-3)
+        b = _evolve_propagator(g, v0, 500, 100, 1e-3)
+        assert np.abs(a - b).max() <= 1e-11
+
+    @staticmethod
+    def _spy(monkeypatch, name, log, entry):
+        real = getattr(integrator, name)
+
+        def spy(*args):
+            log.append(entry(*args))
+            return real(*args)
+
+        monkeypatch.setattr(integrator, name, spy)
+
+    def test_one_basis_serves_many_samples(self, monkeypatch):
+        g, v0 = n5_setup()
+        bases = []
+        self._spy(monkeypatch, "_arnoldi", bases, lambda *args: "basis")
+        _evolve_krylov(g, v0, 20, 100, 1e-3)
+        assert 1 <= len(bases) <= 4  # 2 at this writing
+
+    def test_halving_when_one_sample_exceeds_the_basis(self, monkeypatch):
+        _, g, _, v0 = bell_setup(zeta=0.6)
+        monkeypatch.setattr(integrator, "_KRYLOV_MAX_BASIS", 8)
+        pieces = []
+        self._spy(monkeypatch, "_rk4_power", pieces, lambda h, dt, m: m)
+        a = _evolve_krylov(g, v0, 4, 500, 1e-3)
+        assert min(pieces) < 500
+        b = _evolve_propagator(g, v0, 4, 500, 1e-3)
+        assert np.abs(a - b).max() <= 1e-12
+
+    def test_halving_is_local_to_the_failed_basis(self, monkeypatch):
+        # the first basis is cut to six vectors, too few for one sample of 100
+        # steps; every later basis serves whole samples again
+        g, v0 = n5_setup()
+        real_arnoldi = integrator._arnoldi
+        log = []
+
+        def arnoldi(l_r, x, basis):
+            log.append("basis")
+            return real_arnoldi(l_r, x, basis[:6] if len(log) == 1 else basis)
+
+        monkeypatch.setattr(integrator, "_arnoldi", arnoldi)
+        self._spy(monkeypatch, "_rk4_power", log, lambda h, dt, m: m)
+        a = _evolve_krylov(g, v0, 20, 100, 1e-3)
+        pieces = []  # the pieces tried in each basis
+        for event in log:
+            if event == "basis":
+                pieces.append([])
+            else:
+                pieces[-1].append(event)
+        assert len(pieces) >= 3
+        assert pieces[0][0] == 100 and min(pieces[0]) < 100
+        assert all(max(tried) == 100 for tried in pieces[2:])
+        assert np.abs(a - _evolve_stepwise(g, v0, 20, 100, 1e-3)).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        n_intervals=st.integers(1, 30),
+        steps_per_sample=st.integers(1, 500),
+    )
+    def test_random_grids_match_propagator(self, n, n_intervals, steps_per_sample):
+        # N = 2 spans the whole space (dim 48 < 60 vectors); N = 3 (dim 192)
+        # walks real projections, long samples in several pieces
+        g, v0 = _small_generators()[n]
+        a = _evolve_krylov(g, v0, n_intervals, steps_per_sample, 1e-3)
+        b = _evolve_propagator(g, v0, n_intervals, steps_per_sample, 1e-3)
+        assert np.abs(a - b).max() <= 1e-11
 
     def test_zero_column_and_happy_breakdown(self):
         # rho_00 -> rho_11 at rate 1: from rho_00 the Krylov space closes at
