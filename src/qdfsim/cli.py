@@ -8,10 +8,11 @@ small matplotlib companion script that reads the CSV by relative path.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
+import typing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,8 +44,9 @@ ETA_GRID = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
 FIGURES = ("fig2", "fig3a", "fig3b", "fig4a", "fig4b")
 
 
-def fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then each row's numbers at 12 significant digits."""
+    return "\n".join([header] + [",".join(f"{x:.12g}" for x in row) for row in rows]) + "\n"
 
 
 class ConfigError(click.ClickException):
@@ -71,13 +73,12 @@ class RunConfig:
     output: str | None = None
 
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
-def _expect(value, kinds, path: str):
+def _expect(value, kinds: tuple[type, ...], path: str):
     if isinstance(value, bool) or not isinstance(value, kinds):
-        names = "/".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
-        raise ConfigError(f"{path}: expected {names}, got {value!r}")
+        raise ConfigError(f"{path}: expected {'/'.join(k.__name__ for k in kinds)}, got {value!r}")
     return value
 
 
@@ -91,6 +92,24 @@ def _finite(text: str) -> str:
         shown = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
         raise ConfigError(f"config: number {shown} is out of range")
     return text
+
+
+def _coerce(value, annotation, path: str):
+    """``value`` checked against a ``RunConfig`` annotation; ints widen to float."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if type(None) in args:  # X | None
+        return None if value is None else _coerce(value, args[0], path)
+    if origin is list:
+        items = _expect(value, (list,), path)
+        return [_coerce(v, args[0], f"{path}[{i}]") for i, v in enumerate(items)]
+    if origin is dict:  # barriers: the sides "left" and "right", a missing one empty
+        for side in _expect(value, (dict,), path):
+            if side not in ("left", "right"):
+                raise ConfigError(f"{path}.{side}: expected keys 'left' and 'right'")
+        return {s: _coerce(value.get(s, []), args[1], f"{path}.{s}") for s in ("left", "right")}
+    if annotation is float:
+        return float(_expect(value, (int, float), path))
+    return _expect(value, (annotation,), path)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -107,43 +126,9 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     for key in raw:
-        if key not in _CONFIG_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config field {key!r}")
-    cfg = RunConfig()
-    for key, value in raw.items():
-        if key == "n_qubits":
-            cfg.n_qubits = _expect(value, int, key)
-        elif key in ("state", "scenario"):
-            setattr(cfg, key, _expect(value, str, key))
-        elif key in ("omega", "zeta", "eta", "primed_scale", "t_end", "dt", "sample_interval"):
-            setattr(cfg, key, float(_expect(value, (int, float), key)))
-        elif key in ("epsilon", "j_coupling"):
-            if value is None:
-                setattr(cfg, key, None)
-                continue
-            _expect(value, list, key)
-            setattr(
-                cfg,
-                key,
-                [float(_expect(v, (int, float), f"{key}[{i}]")) for i, v in enumerate(value)],
-            )
-        elif key == "barriers":
-            if value is None:
-                cfg.barriers = None
-                continue
-            _expect(value, dict, key)
-            for side in value:
-                if side not in ("left", "right"):
-                    raise ConfigError(f"barriers.{side}: expected keys 'left' and 'right'")
-            parsed = {}
-            for side in ("left", "right"):
-                lst = _expect(value.get(side, []), list, f"barriers.{side}")
-                parsed[side] = [
-                    _expect(v, int, f"barriers.{side}[{i}]") for i, v in enumerate(lst)
-                ]
-            cfg.barriers = parsed
-        elif key == "output":
-            cfg.output = None if value is None else _expect(value, str, key)
+    cfg = RunConfig(**{key: _coerce(value, _FIELD_TYPES[key], key) for key, value in raw.items()})
     _validate_config(cfg)
     return cfg
 
@@ -152,9 +137,8 @@ def _validate_config(cfg: RunConfig) -> None:
     n = cfg.n_qubits
     if n < 2:
         raise ConfigError("n_qubits: must be >= 2")
-    for name in ("epsilon", "j_coupling"):
+    for name, want in (("epsilon", n), ("j_coupling", n - 1)):
         lst = getattr(cfg, name)
-        want = n if name == "epsilon" else n - 1
         if lst is not None and len(lst) != want:
             raise ConfigError(f"{name}: expected length {want}, got {len(lst)}")
     if not 0.0 <= cfg.zeta < 1.0:
@@ -234,23 +218,30 @@ def _gate(
 _BUILD_BYTES_PER_ENTRY = 128
 
 
+def _check_budget(n_qubits: int, bytes_per_4n: float, what: typing.Callable[[float], str]) -> None:
+    """Refuse, before anything is built, a run that would hold ``bytes_per_4n *
+    4^N`` bytes, more than ``_MAX_TRAJECTORY_BYTES``; ``what(size)`` names them."""
+    try:
+        size = bytes_per_4n * 4.0**n_qubits
+    except OverflowError:
+        size = math.inf
+    if size > _MAX_TRAJECTORY_BYTES:
+        raise ConfigError(f"{what(size)}, more than {_MAX_TRAJECTORY_BYTES / 2**30:g} GiB")
+
+
 def _check_generator_size(n_qubits: int) -> None:
     """Refuse a generator whose build would exceed ``_MAX_TRAJECTORY_BYTES``.
 
     Each row of the full generator holds at most its diagonal, 2N qubit flips
     and two rate gains, so it has at most ``4 * 4^N * (2N + 3)`` entries.
     """
-    try:
-        entries = 4 * 4.0**n_qubits * (2 * n_qubits + 3)
-    except OverflowError:
-        entries = math.inf
-    size = entries * _BUILD_BYTES_PER_ENTRY
-    if size > _MAX_TRAJECTORY_BYTES:
-        raise ConfigError(
-            f"the generator at n_qubits={n_qubits} has up to {entries:.3g} entries and would "
-            f"take about {size / 2**30:.3g} GiB to build, "
-            f"more than {_MAX_TRAJECTORY_BYTES / 2**30:g} GiB"
-        )
+    per_entry = _BUILD_BYTES_PER_ENTRY
+    _check_budget(
+        n_qubits,
+        4 * (2 * n_qubits + 3) * per_entry,
+        lambda size: f"the generator at n_qubits={n_qubits} has up to {size / per_entry:.3g} "
+        f"entries and would take about {size / 2**30:.3g} GiB to build",
+    )
 
 
 def run_states(
@@ -264,16 +255,13 @@ def run_states(
     ``_MAX_TRAJECTORY_BYTES`` is refused before anything is built.
     """
     n_samples = _sample_grid(cfg.t_end, cfg.dt, cfg.sample_interval)[0] + 1
-    try:  # complex128 samples of the reduced dim 3 * 4^N, one column per state
-        size = n_samples * len(SECTORS_REDUCED) * len(state_names) * 16 * 4.0**cfg.n_qubits
-    except OverflowError:
-        size = math.inf
-    if size > _MAX_TRAJECTORY_BYTES:
-        raise ConfigError(
-            f"the trajectory of {len(state_names)} state(s) at n_qubits={cfg.n_qubits} over "
-            f"{n_samples} samples would hold {size / 2**30:.3g} GiB, "
-            f"more than {_MAX_TRAJECTORY_BYTES / 2**30:g} GiB"
-        )
+    k = len(state_names)
+    _check_budget(  # complex128 samples of the reduced dim 3 * 4^N, one column per state
+        cfg.n_qubits,
+        n_samples * len(SECTORS_REDUCED) * k * 16,
+        lambda size: f"the trajectory of {k} state(s) at n_qubits={cfg.n_qubits} over "
+        f"{n_samples} samples would hold {size / 2**30:.3g} GiB",
+    )
     _check_generator_size(cfg.n_qubits)
     base, params = config_params(cfg)
     try:
@@ -316,112 +304,80 @@ def execute_run(cfg: RunConfig, baseline_frame: bool = False) -> RunResult:
 
 def run_single_csv(cfg: RunConfig, baseline_frame: bool = False) -> str:
     res = execute_run(cfg, baseline_frame)
-    lines = ["t,F,trace_err,pop_a,pop_b,pop_c"]
-    for i, t in enumerate(res.times):
-        row = [t, res.fidelities[i], res.trace_err[i], *res.populations[i]]
-        lines.append(",".join(fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    columns = np.column_stack([res.times, res.fidelities, res.trace_err, res.populations])
+    return _csv("t,F,trace_err,pop_a,pop_b,pop_c", columns)
 
 
 # ---------------------------------------------------------------------------
 # figure runners
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    name: str
-    state: str
-    n_qubits: int
-    zeta: float
-    scenario: str
-    eta: float
+Series = dict[str, tuple[str, tuple[int, float, str, float]]]
 
 
-def _run_grouped(
-    specs: list[SeriesSpec], t_end: float, dt: float, si: float
-) -> dict[str, np.ndarray]:
-    """F(t) of every series keyed by name; series that share a generator
+def _series(name: str) -> Series:
+    """Series of a figure: column name -> (state, (N, zeta, scenario, eta)).
+
+    fig2 follows two DF states and two Bell states at two zetas; fig3a and
+    fig3b take the DF states through the three cases at one eta; fig4a and
+    fig4b sweep eta over ``ETA_GRID`` in one case (uniform at eta 0).
+    """
+    if name == "fig2":
+        return {
+            f"{state}_zeta{zeta:g}": (state, (n, zeta, "uniform", 0.0))
+            for state, n in (("psi2", 4), ("psi3", 4), ("bell-b", 2), ("bell-c", 2))
+            for zeta in (0.2, 0.6)
+        }
+    if name in ("fig3a", "fig3b"):
+        zeta, eta = (0.6, 0.01) if name == "fig3a" else (0.2, 0.05)
+        return {
+            f"{state}_{case}": (state, (4, zeta, case, eta))
+            for state in states.DF4_NAMES
+            for case in ("case_i", "case_ii", "case_iii")
+        }
+    if name in ("fig4a", "fig4b"):
+        case = "case_ii" if name == "fig4a" else "case_iii"
+        return {
+            f"{state}_eta{eta:g}": (state, (4, 0.2, case if eta > 0 else "uniform", eta))
+            for eta in ETA_GRID
+            for state in states.DF4_NAMES
+        }
+    raise ValueError(f"unknown figure {name!r}")
+
+
+def _run_grouped(series: Series, t_end: float, si: float) -> dict[str, np.ndarray]:
+    """F(t) of every series keyed by column; series that share a generator
     (the same n_qubits, zeta, scenario and eta) are evolved as one batch."""
-    groups: dict[tuple[int, float, str, float], list[SeriesSpec]] = {}
-    for spec in specs:
-        groups.setdefault((spec.n_qubits, spec.zeta, spec.scenario, spec.eta), []).append(spec)
+    groups: dict[tuple[int, float, str, float], list[tuple[str, str]]] = {}
+    for column, (state, key) in series.items():
+        groups.setdefault(key, []).append((column, state))
     results: dict[str, np.ndarray] = {}
-    for (n_qubits, zeta, scenario, eta), members in groups.items():
+    for (n, zeta, scenario, eta), members in groups.items():
         cfg = RunConfig(
-            n_qubits=n_qubits,
-            zeta=zeta,
-            scenario=scenario,
-            eta=eta,
-            t_end=t_end,
-            dt=dt,
-            sample_interval=si,
+            n_qubits=n, zeta=zeta, scenario=scenario, eta=eta, t_end=t_end, sample_interval=si
         )
-        runs = run_states(cfg, [m.state for m in members])
-        results.update((m.name, run.fidelities) for m, run in zip(members, runs))
+        runs = run_states(cfg, [state for _, state in members])
+        results.update((column, run.fidelities) for (column, _), run in zip(members, runs))
     return results
 
 
-def _fig2_specs() -> list[SeriesSpec]:
-    specs = []
-    for state in ("psi2", "psi3", "bell-b", "bell-c"):
-        n = 4 if state.startswith("psi") else 2
-        for zeta in (0.2, 0.6):
-            specs.append(SeriesSpec(f"{state}_zeta{zeta:g}", state, n, zeta, "uniform", 0.0))
-    return specs
-
-
-def _fig3_specs(eta: float, zeta: float) -> list[SeriesSpec]:
-    specs = []
-    for state in ("psi1", "psi2", "psi3"):
-        for case in ("case_i", "case_ii", "case_iii"):
-            specs.append(SeriesSpec(f"{state}_{case}", state, 4, zeta, case, eta))
-    return specs
-
-
-def run_time_figure(
-    name: str, t_end: float = 50.0, dt: float = DEFAULT_DT, si: float = 0.1
-) -> str:
+def run_time_figure(name: str, t_end: float = 50.0, si: float = 0.1) -> str:
     """CSV text of a time-series figure (fig2, fig3a, fig3b)."""
-    if name == "fig2":
-        specs = _fig2_specs()
-    elif name == "fig3a":
-        specs = _fig3_specs(eta=0.01, zeta=0.6)
-    elif name == "fig3b":
-        specs = _fig3_specs(eta=0.05, zeta=0.2)
-    else:
-        raise ValueError(f"unknown time figure {name!r}")
-    series = _run_grouped(specs, t_end, dt, si)
+    series = _series(name)
+    f = _run_grouped(series, t_end, si)
     times = np.arange(int(round(t_end / si)) + 1) * si
-    header = "t," + ",".join(spec.name for spec in specs)
-    lines = [header]
-    for i, t in enumerate(times):
-        lines.append(",".join([fmt(t)] + [fmt(series[s.name][i]) for s in specs]))
-    return "\n".join(lines) + "\n"
+    return _csv("t," + ",".join(series), np.column_stack([times, *(f[c] for c in series)]))
 
 
-def run_eta_figure(name: str, t_end: float = 50.0, dt: float = DEFAULT_DT) -> str:
+def run_eta_figure(name: str, t_end: float = 50.0) -> str:
     """CSV text of an eta sweep (fig4a: case ii, fig4b: case iii) at t_end."""
-    case = {"fig4a": "case_ii", "fig4b": "case_iii"}.get(name)
-    if case is None:
-        raise ValueError(f"unknown eta figure {name!r}")
-    state_names = ("psi1", "psi2", "psi3")
-    specs = [
-        SeriesSpec(f"{state}_eta{eta:g}", state, 4, 0.2, case if eta > 0 else "uniform", eta)
-        for eta in ETA_GRID
-        for state in state_names
-    ]
-    series = _run_grouped(specs, t_end, dt, si=t_end)
-    lines = ["eta," + ",".join(state_names)]
-    for eta in ETA_GRID:
-        vals = [series[f"{state}_eta{eta:g}"][-1] for state in state_names]
-        lines.append(",".join([fmt(eta)] + [fmt(v) for v in vals]))
-    return "\n".join(lines) + "\n"
+    f = _run_grouped(_series(name), t_end, si=t_end)
+    rows = [[eta] + [f[f"{s}_eta{eta:g}"][-1] for s in states.DF4_NAMES] for eta in ETA_GRID]
+    return _csv("eta," + ",".join(states.DF4_NAMES), rows)
 
 
 def run_figure(name: str) -> str:
-    if name in ("fig2", "fig3a", "fig3b"):
-        return run_time_figure(name)
-    return run_eta_figure(name)
+    return run_eta_figure(name) if name.startswith("fig4") else run_time_figure(name)
 
 
 _PLOT_TEMPLATE = """#!/usr/bin/env python3
@@ -447,8 +403,9 @@ plt.savefig(Path(__file__).parent / "{stem}.png", dpi=200)
 def write_figure(name: str, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
-    csv_path.write_text(run_figure(name))
-    xlabel = "eta" if name.startswith("fig4") else "t"
+    text = run_figure(name)
+    csv_path.write_text(text)
+    xlabel = text[: text.index(",")]  # the CSV's first column, t or eta
     (out_dir / f"{name}_plot.py").write_text(
         _PLOT_TEMPLATE.format(csv_name=csv_path.name, xlabel=xlabel, stem=name)
     )
@@ -470,37 +427,25 @@ class Check:
         return self.measured <= self.tolerance
 
 
-def _hermitian_stack(n_qubits: int, n_sectors: int, seed: int = 7) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    d = 2**n_qubits
-    mats = rng.normal(size=(n_sectors, d, d)) + 1j * rng.normal(size=(n_sectors, d, d))
-    mats = mats + mats.conj().transpose(0, 2, 1)
-    return mats.reshape(-1)
-
-
-def _stack_hermiticity_defect(vec: np.ndarray, n_qubits: int, n_sectors: int) -> float:
-    d = 2**n_qubits
-    mats = vec.reshape(n_sectors, d, d)
-    return float(np.abs(mats - mats.conj().transpose(0, 2, 1)).max())
-
-
 def run_verify() -> list[Check]:
     """Invariant suite run by `qdfsim verify`; every check is deterministic."""
     checks: list[Check] = []
 
+    built = {}
     for n in (2, 4):
         p = ModelParams.uniform(n, zeta=0.2)
         full = assemble(p)
         red = reduce_spin_symmetric(full)
+        built[n] = p, full, red
         checks.append(Check(f"trace_identity_full_n{n}", trace_violation(full), 1e-12))
         checks.append(Check(f"trace_identity_reduced_n{n}", trace_violation(red), 1e-12))
 
-    p2 = ModelParams.uniform(2, zeta=0.2)
-    g2 = reduce_spin_symmetric(assemble(p2))
-    v = _hermitian_stack(2, 3)
-    checks.append(
-        Check("hermiticity_preservation_n2", _stack_hermiticity_defect(g2.apply(v), 2, 3), 1e-12)
-    )
+    g2 = built[2][2]
+    rng = np.random.default_rng(7)  # a Hermitian matrix in each of the 3 reduced sectors
+    mats = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    out = g2.apply((mats + mats.conj().transpose(0, 2, 1)).reshape(-1)).reshape(3, 4, 4)
+    defect = float(np.abs(out - out.conj().transpose(0, 2, 1)).max())
+    checks.append(Check("hermiticity_preservation_n2", defect, 1e-12))
 
     amps = states.make_bell("d")
     v0 = states.to_density(amps).flatten(SECTORS_REDUCED)
@@ -510,9 +455,7 @@ def run_verify() -> list[Check]:
         Check("oracle_equivalence_n2", float(np.abs(rk4_final - expm_final).max()), 1e-8)
     )
 
-    p4 = ModelParams.uniform(4, zeta=0.2)
-    full4 = assemble(p4)
-    red4 = reduce_spin_symmetric(full4)
+    p4, full4, red4 = built[4]
     amps4 = states.make_df4("psi2")
     sdm = states.to_density(amps4)
     rho0 = np.outer(amps4, amps4.conj())
@@ -526,13 +469,11 @@ def run_verify() -> list[Check]:
     )
 
     grid = np.linspace(0.0, 10.0, 21)
-    worst = 0.0
-    for name in ("psi1", "psi2", "psi3"):
-        f = baseline.baseline_fidelity(states.make_df4(name), 0.3, grid)
-        worst = max(worst, float(np.abs(f - 1.0).max()))
-    for name in ("c", "d"):
-        f = baseline.baseline_fidelity(states.make_bell(name), 0.3, grid)
-        worst = max(worst, float(np.abs(f - 1.0).max()))
+    df_states = [states.make_df4(name) for name in states.DF4_NAMES]
+    df_states += [states.make_bell(name) for name in ("c", "d")]
+    worst = max(
+        float(np.abs(baseline.baseline_fidelity(a, 0.3, grid) - 1.0).max()) for a in df_states
+    )
     checks.append(Check("df_baseline_certification", worst, 1e-12))
     f_b = baseline.baseline_fidelity(states.make_bell("b"), 0.3, grid)
     closed = 0.5 * (1.0 + np.exp(-8.0 * 0.3 * grid))
@@ -570,13 +511,42 @@ def run_verify() -> list[Check]:
 # click commands
 
 
+def _read_config(path: str) -> RunConfig:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
+
+
+@contextmanager
+def _writing_output():
+    """Turn an OSError of writing the output into a one-line exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to ``out_path``, or to stdout when none is given."""
+    if not out_path:
+        click.echo(text, nl=False)
+        return
+    with _writing_output():
+        Path(out_path).write_text(text)
+    click.echo(f"wrote {out_path}")
+
+
 @click.group()
 def main() -> None:
     """Charge-qubit robustness simulator for a two-barrier island detector."""
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option(
+    "--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False)
+)
 @click.option(
     "--baseline-frame",
     is_flag=True,
@@ -584,13 +554,10 @@ def main() -> None:
 )
 def simulate(config_path: str, baseline_frame: bool) -> None:
     """Run a single configured evolution and write its CSV time series."""
-    cfg = parse_config(Path(config_path).read_text())
-    csv_text = run_single_csv(cfg, baseline_frame)
-    if cfg.output:
-        Path(cfg.output).write_text(csv_text)
-        click.echo(f"wrote {cfg.output}")
-    else:
-        click.echo(csv_text, nl=False)
+    cfg = _read_config(config_path)
+    if cfg.output and not Path(cfg.output).parent.is_dir():  # refused before the run
+        raise ConfigError(f"cannot write output: {Path(cfg.output).parent} is not a directory")
+    _emit(run_single_csv(cfg, baseline_frame), cfg.output)
 
 
 @main.command()
@@ -598,7 +565,8 @@ def simulate(config_path: str, baseline_frame: bool) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def figure(name: str, out_dir: str) -> None:
     """Reproduce one of the named figure datasets (CSV + plot script)."""
-    path = write_figure(name, Path(out_dir))
+    with _writing_output():
+        path = write_figure(name, Path(out_dir))
     click.echo(f"wrote {path}")
 
 
@@ -629,25 +597,17 @@ def baseline_cmd(
         fid = baseline.baseline_fidelity(amps, gamma_d, times)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    lines = ["t,F"] + [f"{fmt(t)},{fmt(f)}" for t, f in zip(times, fid)]
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _emit(_csv("t,F", zip(times, fid)), out_path)
 
 
 @main.command()
 def verify() -> None:
     """Run the invariant suite; nonzero exit on any failure."""
     checks = run_verify()
-    failed = 0
     for c in checks:
         status = "PASS" if c.ok else "FAIL"
-        if not c.ok:
-            failed += 1
         click.echo(f"{status} {c.name}: measured={c.measured:.3e} tolerance={c.tolerance:.1e}")
+    failed = sum(not c.ok for c in checks)
     if failed:
         click.echo(f"{failed} of {len(checks)} checks failed", err=True)
         sys.exit(1)
@@ -655,11 +615,13 @@ def verify() -> None:
 
 
 @main.command("dump-generator")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option(
+    "--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False)
+)
 @click.option("--full", "dump_full", is_flag=True, help="Dump the four-sector generator.")
 def dump_generator(config_path: str, dump_full: bool) -> None:
     """Print the assembled generator entries in the debug text format."""
-    cfg = parse_config(Path(config_path).read_text())
+    cfg = _read_config(config_path)
     _check_generator_size(cfg.n_qubits)
     _, params = config_params(cfg)
     try:

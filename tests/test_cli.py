@@ -15,6 +15,7 @@ from qdfsim.cli import (
     parse_config,
     run_single_csv,
 )
+from qdfsim.model import CASE_AFFECTED
 
 TINY_N2 = json.dumps(
     {
@@ -172,6 +173,57 @@ class TestCommands:
         result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert result.exit_code == 0
         assert (tmp_path / "series.csv").read_text().startswith("t,F,trace_err")
+
+    @pytest.mark.parametrize("command", ["simulate", "dump-generator"])
+    def test_config_directory_exit_two(self, tmp_path, command):
+        result = CliRunner().invoke(main, [command, "--config", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert result.output.strip().splitlines()[-1] == (
+            f"Error: Invalid value for '--config': File '{tmp_path}' is a directory."
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "dump-generator"])
+    def test_config_not_utf8_exit_two(self, tmp_path, command):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_bytes(b'{"state": "\xff"}')
+        result = CliRunner().invoke(main, [command, "--config", str(cfg_file)])
+        assert result.exit_code == 2
+        assert result.output.strip().splitlines() == [
+            f"Error: cannot read config {cfg_file}: 'utf-8' codec can't decode byte 0xff "
+            "in position 11: invalid start byte"
+        ]
+
+    @pytest.mark.parametrize("output", ["missing/x.csv", "file/x.csv", "."])
+    def test_simulate_unwritable_output_exit_two(self, tmp_path, monkeypatch, output):
+        # a missing directory, or a file in its place, is refused before the
+        # run; a directory in place of the file is refused when it is written
+        from qdfsim import cli
+
+        runs = []
+        monkeypatch.setattr(cli, "run_single_csv", lambda *a: runs.append(a) or "t,F\n")
+        (tmp_path / "file").write_text("")
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({**json.loads(TINY_N2), "output": str(tmp_path / output)}))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert result.exit_code == 2, result.output
+        (line,) = result.output.strip().splitlines()
+        if output == ".":
+            assert len(runs) == 1
+            assert line.startswith("Error: cannot write output: [Errno 21] Is a directory")
+        else:
+            assert runs == []
+            parent = tmp_path / output.split("/")[0]
+            assert line == f"Error: cannot write output: {parent} is not a directory"
+
+    def test_baseline_unwritable_out_exit_two(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        args = ["baseline", "--state", "bell-b", "--gamma-d", "0.3", "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.strip().splitlines() == [
+            f"Error: cannot write output: [Errno 2] No such file or directory: '{out}'"
+        ]
 
     def test_config_error_exit_code_two(self, tmp_path):
         cfg_file = tmp_path / "bad.json"
@@ -433,6 +485,15 @@ class TestFigures:
         script = (tmp_path / "fig2_plot.py").read_text()
         assert "fig2.csv" in script and "matplotlib" in script
 
+    def test_figure_out_under_a_file_exit_two(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        result = CliRunner().invoke(main, ["figure", "fig2", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.strip().splitlines() == [
+            f"Error: cannot write output: [Errno 20] Not a directory: '{out}'"
+        ]
+
     def test_fig3a_layout_short_horizon(self):
         from qdfsim.cli import run_time_figure
 
@@ -499,3 +560,78 @@ def test_simulate_exit_contract(cfg):
         assert rows[:, 1].max() <= 1 + 1e-9
         assert rows[:, 2].max() <= 1e-9
         assert rows[:, 3:].min() >= -1e-9 and rows[:, 3:].max() <= 1 + 1e-9
+
+
+@st.composite
+def _valid_configs(draw) -> RunConfig:
+    """A run configuration parse_config accepts, with every field drawn."""
+    n = draw(st.integers(2, 4))
+    numbers = st.floats(-1e6, 1e6)
+    scenario = draw(st.sampled_from(sorted(CASE_AFFECTED)))
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.05]))
+    interval = dt * draw(st.integers(1, 10))
+    qubits = draw(st.permutations(range(1, n + 1)))
+    cut = draw(st.integers(1, n - 1))
+    return RunConfig(
+        n_qubits=n,
+        state=draw(st.one_of(st.sampled_from(["psi1", "bell-b", "custom:1,0,0,1"]), st.text())),
+        omega=draw(numbers),
+        epsilon=draw(st.one_of(st.none(), st.lists(numbers, min_size=n, max_size=n))),
+        j_coupling=draw(st.one_of(st.none(), st.lists(numbers, min_size=n - 1, max_size=n - 1))),
+        zeta=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        eta=draw(st.floats(0.0, 1.0, exclude_max=True)) if CASE_AFFECTED[scenario] else 0.0,
+        scenario=scenario,
+        primed_scale=draw(numbers),
+        t_end=interval * draw(st.integers(0, 100)),
+        dt=dt,
+        sample_interval=interval,
+        barriers=draw(st.sampled_from([None, {"left": qubits[:cut], "right": qubits[cut:]}])),
+        output=draw(st.one_of(st.none(), st.text())),
+    )
+
+
+def _wrong_types(field: str, n: int) -> list[tuple[object, str]]:
+    """JSON values of the wrong type for one field, each with the path its error names."""
+    if field == "n_qubits":
+        return [(v, field) for v in ("4", 4.0, True, None, [4])]
+    if field in ("state", "scenario", "output"):
+        return [(v, field) for v in (1, 0.5, False, ["psi1"], {})] + (
+            [] if field == "output" else [(None, field)]
+        )
+    if field in ("omega", "zeta", "eta", "primed_scale", "t_end", "dt", "sample_interval"):
+        return [(v, field) for v in ("0.1", True, None, [0.1], {})]
+    if field in ("epsilon", "j_coupling"):
+        k = n if field == "epsilon" else n - 1
+        scalars = [(v, field) for v in (0.1, "0.1", True, {})]
+        return scalars + [
+            ([0.0] * i + [bad] + [0.0] * (k - i - 1), f"{field}[{i}]")
+            for i in range(k)
+            for bad in ("x", True, None, [0.1])
+        ]
+    if field == "barriers":
+        return [(v, field) for v in (1, "left", True, [[1], [2]])] + [
+            ({"left": [1], "right": [2], "top": []}, "barriers.top"),
+            ({"left": 1, "right": [2]}, "barriers.left"),
+            ({"left": ["a"], "right": [2]}, "barriers.left[0]"),
+            ({"right": [0.5]}, "barriers.right[0]"),
+            ({"left": [1], "right": [True]}, "barriers.right[0]"),
+        ]
+    raise AssertionError(f"no wrong-type values for config field {field!r}")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(cfg=_valid_configs())
+def test_config_schema_round_trip(cfg):
+    assert parse_config(json.dumps(dataclasses.asdict(cfg))) == cfg
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(cfg=_valid_configs(), data=st.data())
+def test_config_wrong_type_names_field_path(field, cfg, data):
+    """Every field refuses a value of the wrong JSON type, naming its path first."""
+    raw = dataclasses.asdict(cfg)
+    raw[field], path = data.draw(st.sampled_from(_wrong_types(field, cfg.n_qubits)))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(raw))
+    assert str(excinfo.value).startswith(f"{path}: expected")

@@ -23,3 +23,30 @@ def test_perfbench_patch_targets_resolve(monkeypatch):
     if not callable(getattr(getattr(np_mod, "linalg", None), "matrix_power", None)):
         missing.append("integrator.np.linalg.matrix_power")
     assert missing == []
+
+
+def _load_perfbench(monkeypatch, name: str):
+    """``perfbench/<name>.py`` imported under its own name for one test."""
+    spec = importlib.util.spec_from_file_location(name, SPANS.parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_workload_calls_run(monkeypatch):
+    """The benchmark's operations call the command layer by name and keyword;
+    one short operation of each kind runs and passes its own output check."""
+    from qdfsim import cli
+
+    _load_perfbench(monkeypatch, "checks")  # workloads imports it by this name
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    (op,) = workloads.LargeN(1, n_qubits=2, t_end=0.2).make_pass(0)
+    op.check(op.call())
+    t_end, interval = 0.2, 0.1
+    for name, text in (
+        ("fig2", cli.run_time_figure("fig2", t_end=t_end, si=interval)),
+        ("fig4a", cli.run_eta_figure("fig4a", t_end=t_end)),
+    ):
+        ref = workloads.figure_reference(name, t_end, interval)
+        workloads.check_figure(name, text, ref, t_end, interval)
