@@ -23,7 +23,6 @@ from . import analysis, baseline, states
 from .integrator import (
     DEFAULT_DT,
     REAL_FORM_TOL,
-    _MAX_TRAJECTORY_BYTES,
     _evolve_krylov,
     _evolve_stepwise,
     _sample_grid,
@@ -216,32 +215,26 @@ def _gate(
 # real_form) per full-generator entry, rounded up: measured 91 B at N = 8 and
 # 126 B at N = 5.
 _BUILD_BYTES_PER_ENTRY = 128
-
-
-def _check_budget(n_qubits: int, bytes_per_4n: float, what: typing.Callable[[float], str]) -> None:
-    """Refuse, before anything is built, a run that would hold ``bytes_per_4n *
-    4^N`` bytes, more than ``_MAX_TRAJECTORY_BYTES``; ``what(size)`` names them."""
-    try:
-        size = bytes_per_4n * 4.0**n_qubits
-    except OverflowError:
-        size = math.inf
-    if size > _MAX_TRAJECTORY_BYTES:
-        raise ConfigError(f"{what(size)}, more than {_MAX_TRAJECTORY_BYTES / 2**30:g} GiB")
+# Largest generator build a run may take, in bytes.
+_MAX_BUILD_BYTES = 2 * 2**30
 
 
 def _check_generator_size(n_qubits: int) -> None:
-    """Refuse a generator whose build would exceed ``_MAX_TRAJECTORY_BYTES``.
+    """Refuse a generator whose build would exceed ``_MAX_BUILD_BYTES``.
 
     Each row of the full generator holds at most its diagonal, 2N qubit flips
     and two rate gains, so it has at most ``4 * 4^N * (2N + 3)`` entries.
     """
-    per_entry = _BUILD_BYTES_PER_ENTRY
-    _check_budget(
-        n_qubits,
-        4 * (2 * n_qubits + 3) * per_entry,
-        lambda size: f"the generator at n_qubits={n_qubits} has up to {size / per_entry:.3g} "
-        f"entries and would take about {size / 2**30:.3g} GiB to build",
-    )
+    try:
+        entries = 4 * (2 * n_qubits + 3) * 4.0**n_qubits
+    except OverflowError:
+        entries = math.inf
+    size = entries * _BUILD_BYTES_PER_ENTRY
+    if size > _MAX_BUILD_BYTES:
+        raise ConfigError(
+            f"the generator at n_qubits={n_qubits} has up to {entries:.3g} entries and would take "
+            f"about {size / 2**30:.3g} GiB to build, more than {_MAX_BUILD_BYTES / 2**30:g} GiB"
+        )
 
 
 def run_states(
@@ -249,19 +242,13 @@ def run_states(
 ) -> list[RunResult]:
     """Evolve the named states as one batch under the generator of ``cfg``.
 
-    ``cfg.state`` is not read.  Each trajectory passes the invariant gate
-    (trace error, sector populations, then F) before it is returned.  A run
-    whose kept trajectory, or whose generator build, would exceed
-    ``_MAX_TRAJECTORY_BYTES`` is refused before anything is built.
+    ``cfg.state`` is not read.  The samples are reduced block by block as the
+    integration writes them: each block passes the invariant gate (trace
+    error, sector populations, then F, state by state) and only F, the trace
+    error and the populations are kept, so an unstable run stops at its first
+    bad block.  A run whose generator build would exceed ``_MAX_BUILD_BYTES``
+    is refused before anything is built.
     """
-    n_samples = _sample_grid(cfg.t_end, cfg.dt, cfg.sample_interval)[0] + 1
-    k = len(state_names)
-    _check_budget(  # complex128 samples of the reduced dim 3 * 4^N, one column per state
-        cfg.n_qubits,
-        n_samples * len(SECTORS_REDUCED) * k * 16,
-        lambda size: f"the trajectory of {k} state(s) at n_qubits={cfg.n_qubits} over "
-        f"{n_samples} samples would hold {size / 2**30:.3g} GiB",
-    )
     _check_generator_size(cfg.n_qubits)
     base, params = config_params(cfg)
     try:
@@ -273,28 +260,31 @@ def run_states(
     except ValueError as exc:  # the trace check, when rates dwarf its tolerance
         raise ConfigError(str(exc)) from exc
     v0 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in amp_list], axis=1)
+    d = 2**cfg.n_qubits
+    n_sectors = len(SECTORS_REDUCED)
+    kept = [[] for _ in amp_list]  # (times, F, trace_err, pops) of each block, per state
+
+    def reduce(times: np.ndarray, block: np.ndarray) -> None:
+        for col, amps in enumerate(amp_list):
+            flat = block[:, :, col]
+            mats = flat.reshape(len(times), n_sectors, d, d)
+            pops = np.einsum("tsii->ts", mats).real
+            trace_err = np.abs(pops.sum(axis=1) - 1.0)
+            _gate(cfg, times, "trace_err", trace_err, 0.0, _GATE_TOL)
+            _gate(cfg, times, "pop", pops, -_GATE_TOL, 1.0 + _GATE_TOL)
+            rho0 = np.outer(amps, amps.conj())
+            fid = analysis.fidelity_series(times, flat, rho0, omega_prime, cfg.n_qubits, n_sectors)
+            _gate(cfg, times, "F", fid, -np.inf, 1.0 + _GATE_TOL)
+            kept[col].append((times, fid, trace_err, pops))
+
     try:
         # an overflow surfaces as the FloatingPointError below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = evolve_rk4(g, v0, cfg.t_end, cfg.dt, cfg.sample_interval)
+            omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
+            evolve_rk4(g, v0, cfg.t_end, cfg.dt, cfg.sample_interval, reduce)
     except FloatingPointError as exc:
         raise ConfigError(f"dt={cfg.dt:g} is unstable for this run: {exc}") from exc
-    omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
-    d = 2**cfg.n_qubits
-    n_sectors = len(SECTORS_REDUCED)
-    results = []
-    for col, amps in enumerate(amp_list):
-        flat = traj.states[:, :, col]
-        mats = flat.reshape(len(traj.times), n_sectors, d, d)
-        pops = np.einsum("tsii->ts", mats).real
-        trace_err = np.abs(pops.sum(axis=1) - 1.0)
-        _gate(cfg, traj.times, "trace_err", trace_err, 0.0, _GATE_TOL)
-        _gate(cfg, traj.times, "pop", pops, -_GATE_TOL, 1.0 + _GATE_TOL)
-        rho0 = np.outer(amps, amps.conj())
-        fid = analysis.fidelity_series(traj.times, flat, rho0, omega_prime, cfg.n_qubits, n_sectors)
-        _gate(cfg, traj.times, "F", fid, -np.inf, 1.0 + _GATE_TOL)
-        results.append(RunResult(traj.times, fid, trace_err, pops))
-    return results
+    return [RunResult(*map(np.concatenate, zip(*blocks))) for blocks in kept]
 
 
 def execute_run(cfg: RunConfig, baseline_frame: bool = False) -> RunResult:
@@ -400,15 +390,23 @@ plt.savefig(Path(__file__).parent / "{stem}.png", dpi=200)
 """
 
 
+def _check_output(path: Path) -> None:
+    """Refuse, before anything is computed, an output file that cannot be written."""
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write output: {path.parent} is not a directory")
+    if path.is_dir():
+        raise ConfigError(f"cannot write output: {path} is a directory")
+
+
 def write_figure(name: str, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{name}.csv"
+    csv_path, plot_path = out_dir / f"{name}.csv", out_dir / f"{name}_plot.py"
+    _check_output(csv_path)
+    _check_output(plot_path)
     text = run_figure(name)
     csv_path.write_text(text)
     xlabel = text[: text.index(",")]  # the CSV's first column, t or eta
-    (out_dir / f"{name}_plot.py").write_text(
-        _PLOT_TEMPLATE.format(csv_name=csv_path.name, xlabel=xlabel, stem=name)
-    )
+    plot_path.write_text(_PLOT_TEMPLATE.format(csv_name=csv_path.name, xlabel=xlabel, stem=name))
     return csv_path
 
 
@@ -555,8 +553,8 @@ def main() -> None:
 def simulate(config_path: str, baseline_frame: bool) -> None:
     """Run a single configured evolution and write its CSV time series."""
     cfg = _read_config(config_path)
-    if cfg.output and not Path(cfg.output).parent.is_dir():  # refused before the run
-        raise ConfigError(f"cannot write output: {Path(cfg.output).parent} is not a directory")
+    if cfg.output:
+        _check_output(Path(cfg.output))
     _emit(run_single_csv(cfg, baseline_frame), cfg.output)
 
 

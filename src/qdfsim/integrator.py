@@ -48,8 +48,8 @@ and hold half the memory.
 * ``L_r`` is formed once per evolution and its relative imaginary residual
   checked against :data:`REAL_FORM_TOL`; a generator that breaks
   hermiticity raises ValueError, its imaginary part is never dropped.
-* Samples are mapped back with S^-1 one at a time into the complex output,
-  so no real copy of the whole trajectory is held.
+* One writer maps samples back with S^-1 one at a time and keeps them all,
+  or hands them to a sink in blocks of at most :data:`_BLOCK_BYTES`.
 
 The spectrum of the generator is set by rates and couplings of order one, so
 the default step ``dt = 1e-3`` resolves it with a wide margin; no stiffness
@@ -82,11 +82,11 @@ _KRYLOV_MAX_BASIS = 60
 _KRYLOV_TOL = 1e-13
 _KRYLOV_CHUNK_NORM = 3.0
 _EPS = float(np.finfo(np.float64).eps)
-# Largest number of samples a grid may hold: the trajectory keeps every one.
+# Largest number of samples a grid may hold: a run writes a CSV row for each.
 _MAX_SAMPLES = 100_000
-# Largest trajectory a run may keep, in bytes (samples x dim x states of
-# complex128); a fig-style N = 6 run keeps about 98 MB.
-_MAX_TRAJECTORY_BYTES = 2 * 2**30
+# Largest block of complex samples a sink receives, in bytes (at least one
+# sample); every figure run and a fig-style N = 5 run fit in one block.
+_BLOCK_BYTES = 32 * 2**20
 # Bound on max|Im S L S^-1| / max|L|; rounding leaves about 1e-16.
 REAL_FORM_TOL = 1e-14
 
@@ -168,23 +168,6 @@ def _to_real(rf: RealForm, v0: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real, x.imag], axis=1)
 
 
-def _from_real(rf: RealForm, x: np.ndarray, out: np.ndarray) -> None:
-    """Write S^-1 of the real columns x, recombined as Re + i Im, into ``out``."""
-    k = out.size // out.shape[0]
-    y = x if x.shape[1] == k else x[:, :k] + 1j * x[:, k:]
-    out[...] = (rf.s_inv @ y).reshape(out.shape)
-
-
-def _check_finite(state: np.ndarray, step: int) -> None:
-    if not np.isfinite(state).all():
-        mask = np.isfinite(state)
-        peak = float(np.abs(state[mask]).max()) if mask.any() else float("nan")
-        raise FloatingPointError(
-            f"integration produced a non-finite value at step {step}; "
-            f"largest finite entry {peak:.3e}"
-        )
-
-
 def _sample_grid(t_end: float, dt: float, sample_interval: float | None) -> tuple[int, int]:
     """Validate the grid and return (n_intervals, steps_per_sample)."""
     for name, value in (("t_end", t_end), ("sample_interval", sample_interval), ("dt", dt)):
@@ -222,43 +205,66 @@ def _rk4_step_matrix(l_r: sp.csr_matrix, dt: float) -> np.ndarray:
     return acc.toarray()
 
 
-def _evolve_propagator(
-    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float
-) -> np.ndarray:
-    rf = _checked_real_form(g)
-    step = _rk4_step_matrix(rf.l_r, dt)
-    hop = np.linalg.matrix_power(step, steps_per_sample)
-    out = np.empty((n_intervals + 1,) + v0.shape, dtype=np.complex128)
-    out[0] = v0
+def _samples(
+    rf: RealForm, v0: np.ndarray, advance, n_intervals: int, steps_per_sample: int, dt: float, sink
+) -> np.ndarray | None:
+    """The samples of a route: v0, then ``x = advance(x)`` from the real columns
+    x of v0, each checked finite and mapped back with S^-1.  With no sink all
+    are returned; with one they go to ``sink(times, states)`` in consecutive
+    blocks of at most ``_BLOCK_BYTES`` and at least one sample, in one buffer
+    that the next block overwrites."""
+    times = np.arange(n_intervals + 1) * (steps_per_sample * dt)
+    size = n_intervals + 1 if sink is None else max(1, _BLOCK_BYTES // (16 * v0.size))
+    block = np.empty((min(size, n_intervals + 1),) + v0.shape, dtype=np.complex128)
+    block[0] = v0
     x = _to_real(rf, v0)
+    k, start = v0.size // v0.shape[0], 0
     for i in range(1, n_intervals + 1):
-        # as (k, dim) @ hop^T: BLAS handles a few rows faster than a few columns
-        x = (x.T @ hop.T).T
-        _check_finite(x, i * steps_per_sample)
-        _from_real(rf, x, out[i])
-    return out
+        x = advance(x)
+        finite = np.isfinite(x)
+        if not finite.all():
+            peak = float(np.abs(x[finite]).max()) if finite.any() else float("nan")
+            raise FloatingPointError(
+                f"integration produced a non-finite value at step {i * steps_per_sample}; "
+                f"largest finite entry {peak:.3e}"
+            )
+        if i - start == len(block):
+            sink(times[start:i], block)
+            start = i
+        y = x if x.shape[1] == k else x[:, :k] + 1j * x[:, k:]  # Re + i Im
+        block[i - start] = (rf.s_inv @ y).reshape(v0.shape)
+    if sink is None:
+        return block
+    sink(times[start:], block[: n_intervals + 1 - start])
+
+
+def _evolve_propagator(
+    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink=None
+) -> np.ndarray | None:
+    rf = _checked_real_form(g)
+    # the one-step matrix is freed before the samples are written and reduced
+    hop = np.linalg.matrix_power(_rk4_step_matrix(rf.l_r, dt), steps_per_sample)
+    # as (k, dim) @ hop^T: BLAS handles a few rows faster than a few columns
+    return _samples(rf, v0, lambda x: (x.T @ hop.T).T, n_intervals, steps_per_sample, dt, sink)
 
 
 def _evolve_stepwise(
-    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float
-) -> np.ndarray:
+    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink=None
+) -> np.ndarray | None:
     rf = _checked_real_form(g)
-    m = rf.l_r
-    out = np.empty((n_intervals + 1,) + v0.shape, dtype=np.complex128)
-    out[0] = v0
-    x = _to_real(rf, v0)
     half = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(1, n_intervals + 1):
+
+    def advance(x, m=rf.l_r):
         for _ in range(steps_per_sample):
             k1 = m @ x
             k2 = m @ (x + half * k1)
             k3 = m @ (x + half * k2)
             k4 = m @ (x + dt * k3)
             x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(x, i * steps_per_sample)
-        _from_real(rf, x, out[i])
-    return out
+        return x
+
+    return _samples(rf, v0, advance, n_intervals, steps_per_sample, dt, sink)
 
 
 def _rk4_power(h: np.ndarray, dt: float, m: int) -> np.ndarray:
@@ -341,7 +347,7 @@ class _KrylovWalk:
         self.x, self.walked, self.piece, self.powers = x, 0, self.unit, {}
         scale = float(np.abs(x).max())
         if scale == 0.0 or not np.isfinite(scale):
-            self.y = None  # zero stays zero; a non-finite state is left to _check_finite
+            self.y = None  # zero stays zero; a non-finite state is left to the writer
             return
         self.beta, self.h, self.h_next = _arnoldi(self.l_r, x, self.basis)
         self.y = np.zeros(len(self.h))
@@ -371,8 +377,8 @@ class _KrylovWalk:
 
 
 def _evolve_krylov(
-    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float
-) -> np.ndarray:
+    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink=None
+) -> np.ndarray | None:
     """RK4 samples with each column walked in Krylov bases of L_r.
 
     One basis serves as many samples as its estimate allows (the dense output
@@ -388,14 +394,9 @@ def _evolve_krylov(
         chunk = max(1, int(_KRYLOV_CHUNK_NORM / (norm * dt)))
     pieces = (steps_per_sample + chunk - 1) // chunk
     unit = (steps_per_sample + pieces - 1) // pieces  # an even split of one sample
-    out = np.empty((n_intervals + 1,) + v0.shape, dtype=np.complex128)
-    out[0] = v0
     walks = [_KrylovWalk(rf.l_r, x, dt, unit) for x in _to_real(rf, v0).T.copy()]
-    for i in range(1, n_intervals + 1):
-        cols = np.stack([w.advance(steps_per_sample) for w in walks])
-        _check_finite(cols, i * steps_per_sample)
-        _from_real(rf, cols.T, out[i])
-    return out
+    advance = lambda _: np.stack([w.advance(steps_per_sample) for w in walks]).T  # noqa: E731
+    return _samples(rf, v0, advance, n_intervals, steps_per_sample, dt, sink)
 
 
 def evolve_rk4(
@@ -404,7 +405,8 @@ def evolve_rk4(
     t_end: float,
     dt: float = DEFAULT_DT,
     sample_interval: float | None = None,
-) -> Trajectory:
+    sink=None,
+) -> Trajectory | None:
     """Fixed-step RK4 trajectory sampled every ``sample_interval`` time units.
 
     ``v0`` may be a single flat vector (dim,) or a batch (dim, k) sharing the
@@ -412,21 +414,21 @@ def evolve_rk4(
     docstring); the routes realize the identical scheme and differ only by
     floating-point reassociation, and on the Krylov route by its projection
     error.  A generator that does not preserve hermiticity raises ValueError.
+    Given a ``sink``, the samples go to it in blocks (see :func:`_samples`).
     """
     v0 = np.asarray(v0, dtype=np.complex128)
     if v0.shape[0] != g.dim:
         raise ValueError(f"dimension mismatch: generator {g.dim}, state {v0.shape[0]}")
     n_intervals, steps_per_sample = _sample_grid(t_end, dt, sample_interval)
-    times = np.arange(n_intervals + 1) * (steps_per_sample * dt)
-    if n_intervals == 0:
-        return Trajectory(times, v0[np.newaxis].copy())
-    if g.dim > _KRYLOV_MIN_DIM:
+    if g.dim > _KRYLOV_MIN_DIM and n_intervals:  # a zero horizon needs no Krylov basis
         run = _evolve_krylov
     elif n_intervals * steps_per_sample <= _STEPWISE_CUTOFF:
         run = _evolve_stepwise
     else:
         run = _evolve_propagator
-    return Trajectory(times, run(g, v0, n_intervals, steps_per_sample, dt))
+    states = run(g, v0, n_intervals, steps_per_sample, dt, sink)
+    if sink is None:
+        return Trajectory(np.arange(n_intervals + 1) * (steps_per_sample * dt), states)
 
 
 def evolve_expm(g: Generator, v0: np.ndarray, t: float) -> np.ndarray:

@@ -196,8 +196,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("output", ["missing/x.csv", "file/x.csv", "."])
     def test_simulate_unwritable_output_exit_two(self, tmp_path, monkeypatch, output):
-        # a missing directory, or a file in its place, is refused before the
-        # run; a directory in place of the file is refused when it is written
+        # a missing directory, a file in its place, or a directory in place of
+        # the file is refused before the run
         from qdfsim import cli
 
         runs = []
@@ -208,11 +208,10 @@ class TestCommands:
         result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert result.exit_code == 2, result.output
         (line,) = result.output.strip().splitlines()
+        assert runs == []
         if output == ".":
-            assert len(runs) == 1
-            assert line.startswith("Error: cannot write output: [Errno 21] Is a directory")
+            assert line == f"Error: cannot write output: {tmp_path / output} is a directory"
         else:
-            assert runs == []
             parent = tmp_path / output.split("/")[0]
             assert line == f"Error: cannot write output: {parent} is not a directory"
 
@@ -395,34 +394,45 @@ class TestCommands:
             "Error: t_end/dt/sample_interval: the grid holds 1e+301 samples, more than 100,000"
         ]
 
-    @pytest.mark.parametrize(
-        "n, grid, size",
-        [
-            (6, {"t_end": 9999.9, "sample_interval": 0.1, "dt": 0.05}, "18.3 GiB"),
-            (10, {}, "23.5 GiB"),
-        ],
-        ids=["n6_long_grid", "n10_default_grid"],
-    )
-    def test_trajectory_bound_exit_two(self, tmp_path, monkeypatch, n, grid, size):
-        # refused before the parameters, states or generator are built
+    def test_generator_bound_refuses_default_grid(self, tmp_path, monkeypatch):
+        # an N = 10 run on the default grid of 501 samples is refused by the
+        # generator bound before the parameters, states or generator are built
         from qdfsim import cli
 
         def never(*args, **kwargs):
-            raise AssertionError("built a run the trajectory bound refuses")
+            raise AssertionError("built a run the generator bound refuses")
 
         monkeypatch.setattr(cli, "config_params", never)
         monkeypatch.setattr(cli, "reduced_generator", never)
-        state = "custom:" + ",".join(["1"] * 2**n)
+        state = "custom:" + ",".join(["1"] * 2**10)
         cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({"n_qubits": n, "state": state, **grid}))
+        cfg_file.write_text(json.dumps({"n_qubits": 10, "state": state}))
         result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert result.exit_code == 2, result.output
-        (line,) = result.output.strip().splitlines()
-        samples = 100_000 if grid else 501
-        assert line == (
-            f"Error: the trajectory of 1 state(s) at n_qubits={n} over {samples} samples "
-            f"would hold {size}, more than 2 GiB"
-        )
+        assert result.output.strip().splitlines() == [
+            "Error: the generator at n_qubits=10 has up to 9.65e+07 entries and would take "
+            "about 11.5 GiB to build, more than 2 GiB"
+        ]
+
+    def test_long_grid_admitted_at_six_qubits(self, tmp_path, monkeypatch):
+        # 100,000 samples at N = 6 would have kept 18.3 GiB of states; the run
+        # now holds one block of them, so it reaches the integration
+        from qdfsim import cli
+
+        class Reached(Exception):
+            pass
+
+        def integrate(g, *args):
+            raise Reached(g.dim, args[1:4])
+
+        monkeypatch.setattr(cli, "evolve_rk4", integrate)
+        state = "custom:" + ",".join(["1"] * 2**6)
+        grid = {"t_end": 9999.9, "sample_interval": 0.1, "dt": 0.05}
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"n_qubits": 6, "state": state, **grid}))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert isinstance(result.exception, Reached), result.output
+        assert result.exception.args == (3 * 4**6, (9999.9, 0.05, 0.1))
 
     @pytest.mark.parametrize("command", ["simulate", "dump-generator"])
     def test_generator_bound_exit_two(self, tmp_path, monkeypatch, command):
@@ -494,6 +504,21 @@ class TestFigures:
             f"Error: cannot write output: [Errno 20] Not a directory: '{out}'"
         ]
 
+    @pytest.mark.parametrize("taken", ["fig2.csv", "fig2_plot.py"])
+    def test_figure_output_directory_exit_two(self, tmp_path, monkeypatch, taken):
+        # a directory in place of an output file is refused before any series runs
+        from qdfsim import cli
+
+        runs = []
+        monkeypatch.setattr(cli, "run_states", lambda *a: runs.append(a))
+        (tmp_path / taken).mkdir()
+        result = CliRunner().invoke(main, ["figure", "fig2", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert runs == []
+        assert result.output.strip().splitlines() == [
+            f"Error: cannot write output: {tmp_path / taken} is a directory"
+        ]
+
     def test_fig3a_layout_short_horizon(self):
         from qdfsim.cli import run_time_figure
 
@@ -506,6 +531,62 @@ class TestFigures:
         assert values.shape == (11, 10)
         assert np.all(values[:, 1:] <= 1 + 1e-9)
         assert np.all(values[:, 1:] >= -1e-9)
+
+
+class TestSampleBlocks:
+    """A run reduces its samples block by block as the integration writes
+    them; where the blocks fall changes no output byte and no refusal."""
+
+    @staticmethod
+    def _blocks_of(monkeypatch, samples: int, dim: int, states: int = 1) -> None:
+        from qdfsim import integrator
+
+        monkeypatch.setattr(integrator, "_BLOCK_BYTES", samples * 16 * dim * states)
+
+    @pytest.mark.parametrize("samples", [1, 4])
+    def test_outputs_do_not_depend_on_blocks(self, monkeypatch, samples):
+        from qdfsim import analysis, cli
+
+        cfg = parse_config(
+            '{"n_qubits": 2, "state": "bell-b", "zeta": 0.6, "t_end": 2.0, "sample_interval": 0.1}'
+        )
+        one_block = run_single_csv(cfg), cli.run_time_figure("fig3b", t_end=1.0)
+        lengths = []
+        fidelity_series = analysis.fidelity_series
+
+        def spy(times, *args):
+            lengths.append(len(times))
+            return fidelity_series(times, *args)
+
+        monkeypatch.setattr(analysis, "fidelity_series", spy)
+        self._blocks_of(monkeypatch, samples, dim=48)  # 21 samples of one N = 2 state
+        assert run_single_csv(cfg) == one_block[0]
+        assert max(lengths) == samples and sum(lengths) == 21
+        lengths.clear()
+        self._blocks_of(monkeypatch, samples, dim=768, states=3)  # 11 samples of each case's DF states
+        assert cli.run_time_figure("fig3b", t_end=1.0) == one_block[1]
+        assert max(lengths) == samples and sum(lengths) == 9 * 11
+
+    @pytest.mark.parametrize(
+        "samples, breach",
+        [(3, "trace_err=3.25963e-09 at t=4"), (1, "pop_b=-0.462867 at t=3.5")],
+        ids=["three_sample_blocks", "one_sample_blocks"],
+    )
+    def test_unstable_run_stops_in_a_later_block(self, tmp_path, monkeypatch, samples, breach):
+        # pop_b leaves [0, 1] at sample 7 (t = 3.5) and the trace at sample 8;
+        # a block gates its trace errors first, so the one block of the whole
+        # run, like the block of samples 6-8, names the trace at t = 4, while
+        # blocks of one sample name sample 7
+        cfg_file = tmp_path / "unstable.json"
+        cfg_file.write_text('{"dt": 0.25, "sample_interval": 0.5, "t_end": 10}')
+        one_block = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert one_block.output.strip().endswith("trace_err=3.25963e-09 at t=4")
+        self._blocks_of(monkeypatch, samples, dim=768)
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert result.exit_code == one_block.exit_code == 2
+        assert result.output.strip().splitlines() == [
+            f"Error: dt=0.25 is unstable for this run: {breach}"
+        ]
 
 
 @st.composite

@@ -50,3 +50,27 @@ def test_perfbench_workload_calls_run(monkeypatch):
     ):
         ref = workloads.figure_reference(name, t_end, interval)
         workloads.check_figure(name, text, ref, t_end, interval)
+
+
+def test_perfbench_layer_record_of_a_stepwise_run(monkeypatch):
+    """The benchmark's per-layer record of one N = 2 run on the stepwise route:
+    the route's span covers its integration, and every sample is reduced."""
+    from qdfsim import analysis, cli, integrator, liouvillian, rates, states
+
+    spans = _load_perfbench(monkeypatch, "spans")
+    layers = (analysis, cli, integrator, liouvillian, rates, states)
+    modules = {m.__name__.rsplit(".", 1)[1]: m for m in layers}
+    cfg = cli.parse_config(
+        '{"n_qubits": 2, "state": "bell-b", "t_end": 1.0, "sample_interval": 0.25}'
+    )
+    tracer = spans.Tracer()
+    with tracer.installed(modules):
+        cli.run_single_csv(cfg)
+    assert tracer.absent == []
+    m = spans.layer_metrics(tracer.spans, 1, 1.0)
+    assert m["integrator.route_stepwise"] == 1
+    assert m["integrator.spmv"] == 4 * 1 * 4 * 250  # columns x intervals x steps per sample
+    assert m["analysis.samples"] == 5
+    assert 0 < m["integrator.stepwise_s"] <= m["integrator.evolve_rk4_s"]
+    # the integration runs inside the route's span: nearly all of evolve_rk4
+    assert m["integrator.stepwise_s"] > 0.5 * m["integrator.evolve_rk4_s"]
