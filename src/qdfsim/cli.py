@@ -24,6 +24,7 @@ from .integrator import (
     DEFAULT_DT,
     REAL_FORM_TOL,
     _evolve_krylov,
+    _evolve_propagator,
     _evolve_stepwise,
     _sample_grid,
     evolve_expm,
@@ -192,23 +193,22 @@ class RunResult:
 _GATE_TOL = 1e-9
 
 
-def _gate(
-    cfg: RunConfig, times: np.ndarray, name: str, values: np.ndarray, lo: float, hi: float
-) -> None:
-    """Stop a run with a sample that is not finite or leaves [lo, hi], naming the first.
+def _first_breach(
+    times: np.ndarray, name: str, values: np.ndarray, lo: float, hi: float
+) -> tuple[int, str] | None:
+    """(index, description) of the first sample that is not finite or leaves
+    [lo, hi], or None.
 
     A stable RK4 run keeps these bounds to rounding, so a breach means ``dt``
     lies outside the stability region of the generator.
     """
     bad = np.argwhere(~(np.isfinite(values) & (values >= lo) & (values <= hi)))
-    if len(bad):
-        idx = tuple(bad[0])
-        if len(idx) == 2:
-            name = f"{name}_{SECTORS_REDUCED[idx[1]]}"
-        raise ConfigError(
-            f"dt={cfg.dt:g} is unstable for this run: {name}={values[idx]:.6g} "
-            f"at t={times[idx[0]]:g}"
-        )
+    if not len(bad):
+        return None
+    idx = tuple(bad[0])
+    if len(idx) == 2:
+        name = f"{name}_{SECTORS_REDUCED[idx[1]]}"
+    return idx[0], f"{name}={values[idx]:.6g} at t={times[idx[0]]:g}"
 
 
 # Peak memory of building the run's generator (assemble, spin reduction and
@@ -243,11 +243,13 @@ def run_states(
     """Evolve the named states as one batch under the generator of ``cfg``.
 
     ``cfg.state`` is not read.  The samples are reduced block by block as the
-    integration writes them: each block passes the invariant gate (trace
-    error, sector populations, then F, state by state) and only F, the trace
-    error and the populations are kept, so an unstable run stops at its first
-    bad block.  A run whose generator build would exceed ``_MAX_BUILD_BYTES``
-    is refused before anything is built.
+    integration writes them: each block passes the invariant gate and only
+    F, the trace error and the populations are kept.  The gate names the
+    earliest sample of any state that breaks a bound, checking at each sample
+    the trace error, then the sector populations, then F, so an unstable run
+    stops at its first bad block and the sample named does not depend on the
+    block size.  A run whose generator build would exceed
+    ``_MAX_BUILD_BYTES`` is refused before anything is built.
     """
     _check_generator_size(cfg.n_qubits)
     base, params = config_params(cfg)
@@ -262,20 +264,31 @@ def run_states(
     v0 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in amp_list], axis=1)
     d = 2**cfg.n_qubits
     n_sectors = len(SECTORS_REDUCED)
+    rho0s = [np.outer(amps, amps.conj()) for amps in amp_list]
     kept = [[] for _ in amp_list]  # (times, F, trace_err, pops) of each block, per state
 
     def reduce(times: np.ndarray, block: np.ndarray) -> None:
-        for col, amps in enumerate(amp_list):
-            flat = block[:, :, col]
-            mats = flat.reshape(len(times), n_sectors, d, d)
-            pops = np.einsum("tsii->ts", mats).real
-            trace_err = np.abs(pops.sum(axis=1) - 1.0)
-            _gate(cfg, times, "trace_err", trace_err, 0.0, _GATE_TOL)
-            _gate(cfg, times, "pop", pops, -_GATE_TOL, 1.0 + _GATE_TOL)
-            rho0 = np.outer(amps, amps.conj())
-            fid = analysis.fidelity_series(times, flat, rho0, omega_prime, cfg.n_qubits, n_sectors)
-            _gate(cfg, times, "F", fid, -np.inf, 1.0 + _GATE_TOL)
-            kept[col].append((times, fid, trace_err, pops))
+        flats = [block[:, :, col] for col in range(len(amp_list))]
+        pops = [np.einsum("tsii->ts", f.reshape(len(times), n_sectors, d, d)).real for f in flats]
+        trace_err = [np.abs(p.sum(axis=1) - 1.0) for p in pops]
+        breaches = [_first_breach(times, "trace_err", e, 0.0, _GATE_TOL) for e in trace_err]
+        breaches += [_first_breach(times, "pop", p, -_GATE_TOL, 1.0 + _GATE_TOL) for p in pops]
+        # F is formed only before the first sample whose trace error or
+        # populations break; at that sample those are named first
+        end = min((b[0] for b in breaches if b), default=len(times))
+        fids = [
+            analysis.fidelity_series(
+                times[:end], f[:end], rho0, omega_prime, cfg.n_qubits, n_sectors
+            )
+            for f, rho0 in zip(flats, rho0s)
+        ]
+        breaches += [_first_breach(times, "F", f, -np.inf, 1.0 + _GATE_TOL) for f in fids]
+        found = [b for b in breaches if b]
+        if found:  # the earliest sample; min keeps the first listed of equal ones
+            first = min(found, key=lambda b: b[0])
+            raise ConfigError(f"dt={cfg.dt:g} is unstable for this run: {first[1]}")
+        for col, reduced in enumerate(zip(fids, trace_err, pops)):
+            kept[col].append((times, *reduced))
 
     try:
         # an overflow surfaces as the FloatingPointError below, not as warnings
@@ -488,6 +501,18 @@ def run_verify() -> list[Check]:
     checks.append(Check("sector_population_bounds_n4", pop_violation, 1e-9))
     # premise of the real-coordinate RK4 routes: S L S^-1 is real
     checks.append(Check("real_form_n4", real_form(red4).imag_residual, REAL_FORM_TOL))
+
+    # the route of every figure: Krylov-projected RK4 against the dense
+    # propagator on fig3b's case-ii group (psi1-psi3 as one batch), over 3
+    # samples of 100 steps
+    g4 = reduced_generator(apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05))
+    v4 = np.stack(
+        [states.to_density(states.make_df4(s)).flatten(SECTORS_REDUCED) for s in states.DF4_NAMES],
+        axis=1,
+    )
+    krylov = _evolve_krylov(g4, v4, 3, 100, 1e-3)
+    dense = _evolve_propagator(g4, v4, 3, 100, 1e-3)
+    checks.append(Check("krylov_route_n4", float(np.abs(krylov - dense).max()), 1e-12))
 
     # the route of every N >= 5 run: Krylov-projected RK4 against the plain
     # stepwise loop, over 2 samples of 100 steps

@@ -24,9 +24,12 @@ routes apply that same map and differ only in how it is evaluated:
   not another integrator: the step ``dt`` keeps its truncation error and its
   stability limit.
 
-Routing: a generator of dimension above 768 (N >= 5) takes the Krylov route,
-so no dense matrix of its dimension is built; smaller ones take the
-stepwise loop for short runs and the dense propagator for long ones.
+Routing: a generator of dimension 768 and above (N >= 4) takes the Krylov
+route for any non-zero horizon, so no dense matrix of its dimension is
+built; smaller ones (N <= 3) take the stepwise loop for short runs and the
+dense propagator for long ones, which beats Krylov on long runs of a few
+columns at these sizes (about 23 ms against 110 ms for 3 general columns
+at N = 3 with bias and coupling, t = 50).
 
 :func:`evolve_expm` is the independent dense reference: scaling-and-squaring
 Pade matrix exponential of ``L t`` applied to the initial vector.
@@ -59,6 +62,7 @@ need an implicit scheme, which is out of scope).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +75,12 @@ DEFAULT_DT = 1e-3
 
 # Largest dimension of the dense evolve_expm oracle.
 _DENSE_LIMIT = 4096
-# Generators above this dimension (N >= 5) take the Krylov route.
+# Generators of this dimension and above (N >= 4) take the Krylov route.
 _KRYLOV_MIN_DIM = 768
-# Below this many total steps the plain sparse loop beats building and
-# powering the dense one-step matrix.
+# Runs below that dimension of at most this many total steps take the plain
+# sparse loop.  It is not the faster route (at N = 2 over 500-2,500 steps it
+# takes 14-67 ms, the dense propagator 1-2 ms); it stays only for the
+# benchmark's stepwise span.
 _STEPWISE_CUTOFF = 2500
 # Krylov route: largest basis, error bound per chunk relative to |x|, and the
 # bound on (steps per chunk) * dt * ||L_r||_inf.
@@ -82,6 +88,9 @@ _KRYLOV_MAX_BASIS = 60
 _KRYLOV_TOL = 1e-13
 _KRYLOV_CHUNK_NORM = 3.0
 _EPS = float(np.finfo(np.float64).eps)
+# Arnoldi reorthogonalizes a vector when one Gram-Schmidt pass leaves less
+# than this share of its norm.
+_DGKS = 1 / math.sqrt(2)
 # Largest number of samples a grid may hold: a run writes a CSV row for each.
 _MAX_SAMPLES = 100_000
 # Largest block of complex samples a sink receives, in bytes (at least one
@@ -293,11 +302,14 @@ def _arnoldi(
 ) -> tuple[float, np.ndarray, float]:
     """Arnoldi on L_r and a finite non-zero x, into the rows of ``basis``.
 
-    Two passes of classical Gram-Schmidt per vector build the orthonormal
-    rows ``basis[:k]`` and the k x k Hessenberg h, for k up to the number of
-    rows.  Returns (|x|, h, h[k, k-1]).  The last is 0.0 when the space
-    closed, where the projection is exact: at the full dimension, or on a
-    breakdown, when what is left of ``L_r v_k`` is rounding.  Exact zeros in
+    One pass of classical Gram-Schmidt per vector, and a second one only when
+    the first cancelled most of it (the DGKS test ``|w_after| < |w_before| /
+    sqrt(2)``: Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)),
+    build the orthonormal rows ``basis[:k]`` and the k x k Hessenberg h, for
+    k up to the number of rows.  Returns (|x|, h, h[k, k-1]).  The last is
+    0.0 when the space closed, where the projection is exact: at the full
+    dimension, or on a breakdown, when what is left of ``L_r v_k`` is
+    rounding.  Exact zeros in
     L_r leave about 1e-31 of it, not 0, and a vector made from that would be
     noise.
     """
@@ -309,12 +321,14 @@ def _arnoldi(
     h = np.zeros((cap, cap))
     for k in range(1, cap + 1):
         w = l_r @ basis[k - 1]
-        product = float(np.linalg.norm(w))
+        product = h_next = math.sqrt(w @ w)
         for _ in range(2):
             c = basis[:k] @ w
             w -= c @ basis[:k]
             h[:k, k - 1] += c
-        h_next = float(np.linalg.norm(w))
+            norm, h_next = h_next, math.sqrt(w @ w)
+            if h_next >= norm * _DGKS:
+                break
         if h_next <= _EPS * product or k == len(w):
             return beta * scale, h[:k, :k], 0.0
         if k < cap:
@@ -420,7 +434,7 @@ def evolve_rk4(
     if v0.shape[0] != g.dim:
         raise ValueError(f"dimension mismatch: generator {g.dim}, state {v0.shape[0]}")
     n_intervals, steps_per_sample = _sample_grid(t_end, dt, sample_interval)
-    if g.dim > _KRYLOV_MIN_DIM and n_intervals:  # a zero horizon needs no Krylov basis
+    if g.dim >= _KRYLOV_MIN_DIM and n_intervals:  # a zero horizon needs no Krylov basis
         run = _evolve_krylov
     elif n_intervals * steps_per_sample <= _STEPWISE_CUTOFF:
         run = _evolve_stepwise

@@ -472,6 +472,7 @@ class TestCommands:
         assert "FAIL" not in result.output
         assert "all" in result.output and "passed" in result.output
         assert "PASS real_form_n4" in result.output
+        assert "PASS krylov_route_n4" in result.output
         assert "PASS krylov_route_n5" in result.output
         # the verify checks keep the absolute 1e-12 bound and their values
         for name, value in (("full_n2", "4.441e-16"), ("reduced_n2", "4.441e-16"),
@@ -567,26 +568,20 @@ class TestSampleBlocks:
         assert cli.run_time_figure("fig3b", t_end=1.0) == one_block[1]
         assert max(lengths) == samples and sum(lengths) == 9 * 11
 
-    @pytest.mark.parametrize(
-        "samples, breach",
-        [(3, "trace_err=3.25963e-09 at t=4"), (1, "pop_b=-0.462867 at t=3.5")],
-        ids=["three_sample_blocks", "one_sample_blocks"],
-    )
-    def test_unstable_run_stops_in_a_later_block(self, tmp_path, monkeypatch, samples, breach):
-        # pop_b leaves [0, 1] at sample 7 (t = 3.5) and the trace at sample 8;
-        # a block gates its trace errors first, so the one block of the whole
-        # run, like the block of samples 6-8, names the trace at t = 4, while
-        # blocks of one sample name sample 7
+    @pytest.mark.parametrize("samples", [3, 1], ids=["three_sample_blocks", "one_sample_blocks"])
+    def test_unstable_run_stops_in_a_later_block(self, tmp_path, monkeypatch, samples):
+        # pop_b leaves [0, 1] at sample 7 (t = 3.5), before the trace error
+        # does; the gate names that sample whether it comes in the one block
+        # of the whole run, in the block of samples 6-8 or in a block of its own
         cfg_file = tmp_path / "unstable.json"
         cfg_file.write_text('{"dt": 0.25, "sample_interval": 0.5, "t_end": 10}')
+        breach = ["Error: dt=0.25 is unstable for this run: pop_b=-0.462867 at t=3.5"]
         one_block = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
-        assert one_block.output.strip().endswith("trace_err=3.25963e-09 at t=4")
+        assert one_block.output.strip().splitlines() == breach
         self._blocks_of(monkeypatch, samples, dim=768)
         result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert result.exit_code == one_block.exit_code == 2
-        assert result.output.strip().splitlines() == [
-            f"Error: dt=0.25 is unstable for this run: {breach}"
-        ]
+        assert result.output.strip().splitlines() == breach
 
 
 @st.composite

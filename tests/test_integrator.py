@@ -259,8 +259,8 @@ class TestKrylovRoute:
         assert np.abs(a - b).max() <= 1e-12
 
     def test_fig_grid_four_qubits_matches_propagator(self):
-        # a fig3b-style group forced through the Krylov route: t 50, interval
-        # 0.1, psi1-psi3 as one batch
+        # a fig3b group on the Krylov route, which every figure takes: t 50,
+        # interval 0.1, psi1-psi3 as one batch
         p = apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05)
         g = reduce_spin_symmetric(assemble(p))
         v0 = np.stack(
@@ -384,13 +384,69 @@ class TestKrylovRoute:
         assert traj.states.shape == (round(t_end / interval) + 1, g.dim)
         assert np.isfinite(traj.states).all()
 
-    @pytest.mark.parametrize("t_end", [0.5, 5.0], ids=["stepwise", "propagator"])
-    def test_four_qubits_keep_their_routes(self, monkeypatch, t_end):
+    @pytest.mark.parametrize("t_end", [0.5, 5.0], ids=["short", "long"])
+    def test_four_qubits_never_build_dense_matrices(self, monkeypatch, t_end):
         g = n4_generator()
-        assert g.dim == 768
-        self._forbid(monkeypatch, "_evolve_krylov")
+        assert g.dim == integrator._KRYLOV_MIN_DIM
+        self._forbid(monkeypatch, "_evolve_propagator", "_rk4_step_matrix", "_evolve_stepwise")
         v0 = to_density(make_df4("psi2")).flatten(SECTORS_REDUCED)
+        traj = evolve_rk4(g, v0, t_end, 1e-3, 0.5)
+        assert traj.states.shape == (round(t_end / 0.5) + 1, g.dim)
+        assert np.isfinite(traj.states).all()
+
+    @pytest.mark.parametrize("t_end", [0.5, 5.0], ids=["stepwise", "propagator"])
+    def test_three_qubits_keep_their_routes(self, monkeypatch, t_end):
+        g, v0 = _small_generators()[3]
+        assert g.dim < integrator._KRYLOV_MIN_DIM
+        self._forbid(monkeypatch, "_evolve_krylov")
         assert np.isfinite(evolve_rk4(g, v0, t_end, 1e-3, 0.5).states).all()
+
+
+def _arnoldi_defects(l_r: sp.csr_matrix, x: np.ndarray, cap: int) -> tuple[int, float, float]:
+    """(k, max|V V^T - I|, relative defect of L_r V^T = V^T H) of a fresh
+    basis of at most ``cap`` vectors from x; the relation is checked on the
+    first k - 1 columns, which involve no vector beyond the basis."""
+    basis = np.empty((cap, l_r.shape[0]))
+    beta, h, _ = integrator._arnoldi(l_r, x, basis)
+    k = len(h)
+    v = basis[:k]
+    assert np.abs(beta * v[0] - x).max() <= 1e-15 * np.abs(x).max()
+    lv = l_r @ v[: k - 1].T
+    relation = np.abs(lv - v.T @ h[:, : k - 1]).max() / np.abs(lv).max()
+    return k, float(np.abs(v @ v.T - np.eye(k)).max()), float(relation)
+
+
+class TestArnoldi:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_fresh_basis_is_orthonormal(self, n):
+        if n == 4:
+            g, v0 = n4_generator(), to_density(make_df4("psi2")).flatten(SECTORS_REDUCED)
+        else:
+            g, v0 = n5_setup()
+        rf = real_form(g)
+        x = integrator._to_real(rf, v0)[:, 0].copy()
+        k, orthogonality, relation = _arnoldi_defects(rf.l_r, x, 60)
+        assert k == 60
+        assert orthogonality <= 1e-13
+        assert relation <= 1e-13
+
+    def test_cancellation_takes_a_second_pass(self):
+        # eigenvalues 1, 1.001, ..., 1.005: each L v_k lies almost in the span
+        # of the basis so far, so one pass of classical Gram-Schmidt cancels
+        # nearly all of it and leaves a vector far from orthogonal to the basis
+        l_r = sp.diags(1.0 + 1e-3 * np.arange(6)).tocsr()
+        x = np.ones(6)
+        one_pass = np.empty((6, 6))
+        one_pass[0] = x / np.linalg.norm(x)
+        for k in range(1, 6):
+            w = l_r @ one_pass[k - 1]
+            w -= (one_pass[:k] @ w) @ one_pass[:k]
+            one_pass[k] = w / np.linalg.norm(w)
+        assert np.abs(one_pass @ one_pass.T - np.eye(6)).max() > 1e-3
+        k, orthogonality, relation = _arnoldi_defects(l_r, x, 6)
+        assert k == 6
+        assert orthogonality <= 1e-13
+        assert relation <= 1e-13
 
 
 class TestExpmOracle:
