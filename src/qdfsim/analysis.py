@@ -13,12 +13,12 @@ _IMAG_TOL = 1e-10
 _TRACE_TOL = 1e-6
 
 
-def qubit_dm_from_flat(vec: np.ndarray, n_qubits: int, n_sectors: int) -> np.ndarray:
-    """Sector-sum a flat vector (full or reduced layout) into the qubit DM.
-
-    Leading axes of ``vec``, such as one per sample, are kept.
-    """
-    d = 2**n_qubits
+def qubit_dm_from_flat(vec: np.ndarray, d: int) -> np.ndarray:
+    """Sector-sum the d x d blocks of the last axis into the qubit DM, keeping
+    leading axes such as one per sample; ValueError when the blocks are not whole."""
+    n_sectors, rest = divmod(vec.shape[-1], d * d)
+    if rest or not n_sectors:
+        raise ValueError(f"flat length {vec.shape[-1]} is not a whole number of {d}x{d} sectors")
     return vec.reshape(vec.shape[:-1] + (n_sectors, d, d)).sum(axis=-3)
 
 
@@ -65,18 +65,17 @@ def fidelity_series(
     flat_states: np.ndarray,
     rho0: np.ndarray,
     omega_prime: np.ndarray,
-    n_qubits: int,
-    n_sectors: int,
 ) -> np.ndarray:
     """F(t) = Tr[rho(0) rho'(t)] for every sampled flat state of a trajectory.
 
     ``rho'(t)`` is the sector-summed qubit DM rotated into the free-qubit
-    frame.  Raises ValueError, naming the first bad time, when ``rho0`` or a
-    rotated sample departs from unit trace by more than 1e-6, or when an
-    overlap has an imaginary part above 1e-10 (inputs not hermitian).
+    frame, with the sectors counted from the flat length.  Raises ValueError,
+    naming the first bad time, when ``rho0`` or a rotated sample departs from
+    unit trace by more than 1e-6, or when an overlap has an imaginary part
+    above 1e-10 (inputs not hermitian).
     """
     times = np.asarray(times, dtype=float)
-    rho_q = qubit_dm_from_flat(flat_states, n_qubits, n_sectors)
+    rho_q = qubit_dm_from_flat(flat_states, len(rho0))
     rot = rotating_frame(rho_q, omega_prime, times)
     tr0 = complex(np.trace(rho0))
     tr1 = np.trace(rot, axis1=1, axis2=2)

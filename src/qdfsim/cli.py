@@ -154,7 +154,7 @@ def _validate_config(cfg: RunConfig) -> None:
         )
     try:
         _sample_grid(cfg.t_end, cfg.dt, cfg.sample_interval)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"t_end/dt/sample_interval: {exc}") from exc
 
 
@@ -263,13 +263,14 @@ def run_states(
         raise ConfigError(str(exc)) from exc
     v0 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in amp_list], axis=1)
     d = 2**cfg.n_qubits
-    n_sectors = len(SECTORS_REDUCED)
     rho0s = [np.outer(amps, amps.conj()) for amps in amp_list]
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
     kept = [[] for _ in amp_list]  # (times, F, trace_err, pops) of each block, per state
 
     def reduce(times: np.ndarray, block: np.ndarray) -> None:
         flats = [block[:, :, col] for col in range(len(amp_list))]
-        pops = [np.einsum("tsii->ts", f.reshape(len(times), n_sectors, d, d)).real for f in flats]
+        pops = [np.einsum("tsii->ts", f.reshape(len(times), -1, d, d)).real for f in flats]
         trace_err = [np.abs(p.sum(axis=1) - 1.0) for p in pops]
         breaches = [_first_breach(times, "trace_err", e, 0.0, _GATE_TOL) for e in trace_err]
         breaches += [_first_breach(times, "pop", p, -_GATE_TOL, 1.0 + _GATE_TOL) for p in pops]
@@ -277,9 +278,7 @@ def run_states(
         # populations break; at that sample those are named first
         end = min((b[0] for b in breaches if b), default=len(times))
         fids = [
-            analysis.fidelity_series(
-                times[:end], f[:end], rho0, omega_prime, cfg.n_qubits, n_sectors
-            )
+            analysis.fidelity_series(times[:end], f[:end], rho0, omega_prime)
             for f, rho0 in zip(flats, rho0s)
         ]
         breaches += [_first_breach(times, "F", f, -np.inf, 1.0 + _GATE_TOL) for f in fids]
@@ -293,7 +292,6 @@ def run_states(
     try:
         # an overflow surfaces as the FloatingPointError below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
             evolve_rk4(g, v0, cfg.t_end, cfg.dt, cfg.sample_interval, reduce)
     except FloatingPointError as exc:
         raise ConfigError(f"dt={cfg.dt:g} is unstable for this run: {exc}") from exc
@@ -327,8 +325,8 @@ def _series(name: str) -> Series:
     """
     if name == "fig2":
         return {
-            f"{state}_zeta{zeta:g}": (state, (n, zeta, "uniform", 0.0))
-            for state, n in (("psi2", 4), ("psi3", 4), ("bell-b", 2), ("bell-c", 2))
+            f"{state}_zeta{zeta:g}": (state, (states.qubit_count(state), zeta, "uniform", 0.0))
+            for state in ("psi2", "psi3", "bell-b", "bell-c")
             for zeta in (0.2, 0.6)
         }
     if name in ("fig3a", "fig3b"):
@@ -348,39 +346,36 @@ def _series(name: str) -> Series:
     raise ValueError(f"unknown figure {name!r}")
 
 
-def _run_grouped(series: Series, t_end: float, si: float) -> dict[str, np.ndarray]:
-    """F(t) of every series keyed by column; series that share a generator
+def _run_grouped(series: Series, t_end: float, si: float) -> dict[str, RunResult]:
+    """The run of every series keyed by column; series that share a generator
     (the same n_qubits, zeta, scenario and eta) are evolved as one batch."""
     groups: dict[tuple[int, float, str, float], list[tuple[str, str]]] = {}
     for column, (state, key) in series.items():
         groups.setdefault(key, []).append((column, state))
-    results: dict[str, np.ndarray] = {}
+    results: dict[str, RunResult] = {}
     for (n, zeta, scenario, eta), members in groups.items():
         cfg = RunConfig(
             n_qubits=n, zeta=zeta, scenario=scenario, eta=eta, t_end=t_end, sample_interval=si
         )
         runs = run_states(cfg, [state for _, state in members])
-        results.update((column, run.fidelities) for (column, _), run in zip(members, runs))
+        results.update((column, run) for (column, _), run in zip(members, runs))
     return results
 
 
 def run_time_figure(name: str, t_end: float = 50.0, si: float = 0.1) -> str:
     """CSV text of a time-series figure (fig2, fig3a, fig3b)."""
     series = _series(name)
-    f = _run_grouped(series, t_end, si)
-    times = np.arange(int(round(t_end / si)) + 1) * si
-    return _csv("t," + ",".join(series), np.column_stack([times, *(f[c] for c in series)]))
+    runs = _run_grouped(series, t_end, si)
+    times = runs[next(iter(series))].times  # every run samples the same grid
+    columns = [runs[c].fidelities for c in series]
+    return _csv("t," + ",".join(series), np.column_stack([times, *columns]))
 
 
 def run_eta_figure(name: str, t_end: float = 50.0) -> str:
     """CSV text of an eta sweep (fig4a: case ii, fig4b: case iii) at t_end."""
-    f = _run_grouped(_series(name), t_end, si=t_end)
-    rows = [[eta] + [f[f"{s}_eta{eta:g}"][-1] for s in states.DF4_NAMES] for eta in ETA_GRID]
+    f = {c: run.fidelities[-1] for c, run in _run_grouped(_series(name), t_end, si=t_end).items()}
+    rows = [[eta] + [f[f"{s}_eta{eta:g}"] for s in states.DF4_NAMES] for eta in ETA_GRID]
     return _csv("eta," + ",".join(states.DF4_NAMES), rows)
-
-
-def run_figure(name: str) -> str:
-    return run_eta_figure(name) if name.startswith("fig4") else run_time_figure(name)
 
 
 _PLOT_TEMPLATE = """#!/usr/bin/env python3
@@ -416,7 +411,7 @@ def write_figure(name: str, out_dir: Path) -> Path:
     csv_path, plot_path = out_dir / f"{name}.csv", out_dir / f"{name}_plot.py"
     _check_output(csv_path)
     _check_output(plot_path)
-    text = run_figure(name)
+    text = run_eta_figure(name) if name.startswith("fig4") else run_time_figure(name)
     csv_path.write_text(text)
     xlabel = text[: text.index(",")]  # the CSV's first column, t or eta
     plot_path.write_text(_PLOT_TEMPLATE.format(csv_name=csv_path.name, xlabel=xlabel, stem=name))
@@ -460,7 +455,7 @@ def run_verify() -> list[Check]:
 
     amps = states.make_bell("d")
     v0 = states.to_density(amps).flatten(SECTORS_REDUCED)
-    rk4_final = evolve_rk4(g2, v0, 50.0, 1e-3, 50.0).final()
+    rk4_final = evolve_rk4(g2, v0, 50.0, 1e-3, 50.0).states[-1]
     expm_final = evolve_expm(g2, v0, 50.0)
     checks.append(
         Check("oracle_equivalence_n2", float(np.abs(rk4_final - expm_final).max()), 1e-8)
@@ -473,8 +468,8 @@ def run_verify() -> list[Check]:
     omega_prime = analysis.rotation_frequencies(p4)
     tf = evolve_rk4(full4, sdm.flatten(), 5.0, 0.01, 0.5)
     tr = evolve_rk4(red4, sdm.flatten(SECTORS_REDUCED), 5.0, 0.01, 0.5)
-    f_full = analysis.fidelity_series(tf.times, tf.states, rho0, omega_prime, 4, 4)
-    f_red = analysis.fidelity_series(tr.times, tr.states, rho0, omega_prime, 4, 3)
+    f_full = analysis.fidelity_series(tf.times, tf.states, rho0, omega_prime)
+    f_red = analysis.fidelity_series(tr.times, tr.states, rho0, omega_prime)
     checks.append(
         Check("reduction_equivalence_n4", float(np.abs(f_full - f_red).max()), 1e-10)
     )
@@ -502,7 +497,8 @@ def run_verify() -> list[Check]:
     # premise of the real-coordinate RK4 routes: S L S^-1 is real
     checks.append(Check("real_form_n4", real_form(red4).imag_residual, REAL_FORM_TOL))
 
-    # the route of every figure: Krylov-projected RK4 against the dense
+    # the route of every N = 4 figure group (all but fig2's two N = 2 groups,
+    # which take the dense propagator): Krylov-projected RK4 against the dense
     # propagator on fig3b's case-ii group (psi1-psi3 as one batch), over 3
     # samples of 100 steps
     g4 = reduced_generator(apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05))
@@ -603,19 +599,12 @@ def baseline_cmd(
     state_name: str, gamma_d: float, t_end: float, sample_interval: float, out_path: str | None
 ) -> None:
     """Analytic collective-dephasing fidelity of a named state."""
-    if state_name.startswith("custom"):
-        count = len(states._amplitude_fields(state_name))
-        n = count.bit_length() - 1
-        if count < 2 or count != 1 << n:
-            raise ConfigError(f"custom state needs 2^N amplitudes with N >= 1, got {count}")
-    else:
-        n = 4 if state_name.startswith("psi") else 2
     try:
         n_intervals, _ = _sample_grid(t_end, sample_interval, sample_interval)
     except ValueError as exc:
         raise ConfigError(f"--t-end/--sample-interval: {exc}") from exc
     try:
-        amps = states.state_by_name(state_name, n)
+        amps = states.state_by_name(state_name, states.qubit_count(state_name))
         times = np.arange(n_intervals + 1) * sample_interval
         fid = baseline.baseline_fidelity(amps, gamma_d, times)
     except ValueError as exc:

@@ -111,9 +111,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
 
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 @dataclass(frozen=True, eq=False)
 class RealForm:
@@ -190,12 +187,17 @@ def _sample_grid(t_end: float, dt: float, sample_interval: float | None) -> tupl
         raise ValueError(f"dt must be positive, got {dt}")
     if sample_interval is None:
         sample_interval = t_end if t_end > 0.0 else dt
-    steps_per_sample = int(round(sample_interval / dt))
+    steps = sample_interval / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"sample_interval={sample_interval} over dt={dt} is past the float range")
+    steps_per_sample = int(round(steps))
     if steps_per_sample < 1 or abs(steps_per_sample * dt - sample_interval) > 1e-9 * sample_interval:
         raise ValueError(f"dt={dt} must divide the sample interval {sample_interval}")
-    n_intervals = int(round(t_end / sample_interval))
-    if abs(n_intervals * sample_interval - t_end) > 1e-9 * max(t_end, 1.0):
-        raise ValueError(f"sample_interval={sample_interval} must divide t_end={t_end}")
+    n_intervals = t_end / sample_interval
+    if math.isfinite(n_intervals):  # an infinite count fails the sample bound below
+        n_intervals = int(round(n_intervals))
+        if abs(n_intervals * sample_interval - t_end) > 1e-9 * max(t_end, 1.0):
+            raise ValueError(f"sample_interval={sample_interval} must divide t_end={t_end}")
     if n_intervals + 1 > _MAX_SAMPLES:
         raise ValueError(
             f"the grid holds {float(n_intervals + 1):.6g} samples, more than {_MAX_SAMPLES:,}"
@@ -458,4 +460,4 @@ def evolve_expm(g: Generator, v0: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"dimension mismatch: generator {g.dim}, state {v0.shape[0]}")
     if t == 0.0:
         return v0.copy()
-    return la.expm(g.as_dense() * t) @ v0
+    return la.expm(g.csr.toarray() * t) @ v0

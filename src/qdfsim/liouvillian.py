@@ -43,7 +43,6 @@ oracle): sector-major, then z1-major, z2-minor::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,15 +123,6 @@ class Generator:
             raise ValueError(f"dimension mismatch: generator {self.dim}, vector {v.shape[0]}")
         return self.csr @ v
 
-    def as_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def entries(self) -> Iterator[tuple[int, int, complex]]:
-        """(row, col, value) triples in (row, col) order."""
-        m = self.csr
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        yield from zip(rows.tolist(), m.indices.tolist(), m.data.tolist())
-
     def dump(self) -> str:
         """Debug text form: one line per entry, sorted lexicographically.
 
@@ -140,8 +130,9 @@ class Generator:
         zero-padded configuration indices.
         """
         d = 2**self.n_qubits
+        m = self.csr.tocoo()
         lines = []
-        for r, c, v in self.entries():
+        for r, c, v in zip(m.row.tolist(), m.col.tolist(), m.data.tolist()):
             s1, z1, z2 = r // (d * d), (r // d) % d, r % d
             s2, w1, w2 = c // (d * d), (c // d) % d, c % d
             lines.append(

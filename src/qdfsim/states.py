@@ -52,10 +52,12 @@ _BELL_COEFFS = {
     "bell-c": {"01": 1 / _SQ2, "10": 1 / _SQ2},
     "bell-d": {"01": 1 / _SQ2, "10": -1 / _SQ2},
 }
+# Every named state; the length of its bit strings is its qubit count.
+_NAMED_COEFFS = {**_DF4_COEFFS, **_BELL_COEFFS}
 
 
-def _from_coeffs(coeffs: dict[str, float], n_qubits: int) -> np.ndarray:
-    amps = np.zeros(2**n_qubits, dtype=np.complex128)
+def _from_coeffs(coeffs: dict[str, float]) -> np.ndarray:
+    amps = np.zeros(2 ** len(next(iter(coeffs))), dtype=np.complex128)
     for bits, c in coeffs.items():
         amps[_index(bits)] = c
     return amps
@@ -66,7 +68,7 @@ def make_df4(which: str) -> np.ndarray:
     key = which.lower()
     if key not in _DF4_COEFFS:
         raise ValueError(f"unknown four-qubit state {which!r}; expected psi1|psi2|psi3")
-    return _from_coeffs(_DF4_COEFFS[key], 4)
+    return _from_coeffs(_DF4_COEFFS[key])
 
 
 def make_bell(which: str) -> np.ndarray:
@@ -76,7 +78,7 @@ def make_bell(which: str) -> np.ndarray:
         key = f"bell-{key}"
     if key not in _BELL_COEFFS:
         raise ValueError(f"unknown Bell state {which!r}; expected a|b|c|d")
-    return _from_coeffs(_BELL_COEFFS[key], 2)
+    return _from_coeffs(_BELL_COEFFS[key])
 
 
 def _amplitude_fields(spec: str) -> list[str]:
@@ -86,7 +88,7 @@ def _amplitude_fields(spec: str) -> list[str]:
 
 
 def parse_custom(spec: str, n_qubits: int) -> np.ndarray:
-    """Parse 'custom:<2^N comma-separated complex amplitudes>' and normalize."""
+    """Parse 'custom:<2^N comma-separated complex amplitudes>' and normalize a finite norm."""
     parts = _amplitude_fields(spec)
     d = 2**n_qubits
     if len(parts) != d:
@@ -95,25 +97,39 @@ def parse_custom(spec: str, n_qubits: int) -> np.ndarray:
         amps = np.array([complex(s) for s in parts], dtype=np.complex128)
     except ValueError as exc:
         raise ValueError(f"bad complex amplitude in custom state: {exc}") from exc
-    norm = float(np.linalg.norm(amps))
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if len(bad):
+        raise ValueError(f"custom state has a non-finite amplitude {parts[bad[0]]!r}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if not np.isfinite(norm):
+        raise ValueError("custom state has a norm past the float range")
     if norm < 1e-12:
         raise ValueError("custom state has zero norm")
     return amps / norm
 
 
-def state_by_name(name: str, n_qubits: int) -> np.ndarray:
-    """CLI-facing dispatcher: psi1..psi3, bell-a..bell-d, or custom:<amps>."""
+def qubit_count(name: str) -> int:
+    """Qubit count of a named state, or N of a 'custom:' state of 2^N amplitudes (N >= 1)."""
     if name.startswith("custom"):
-        return parse_custom(name, n_qubits)
-    if name in DF4_NAMES:
-        if n_qubits != 4:
-            raise ValueError(f"state {name!r} requires n_qubits=4, got {n_qubits}")
-        return make_df4(name)
-    if name in BELL_NAMES:
-        if n_qubits != 2:
-            raise ValueError(f"state {name!r} requires n_qubits=2, got {n_qubits}")
-        return make_bell(name)
-    raise ValueError(f"unknown state {name!r}")
+        count = len(_amplitude_fields(name))
+        n = count.bit_length() - 1
+        if count < 2 or count != 1 << n:
+            raise ValueError(f"custom state needs 2^N amplitudes with N >= 1, got {count}")
+        return n
+    if name not in _NAMED_COEFFS:
+        raise ValueError(f"unknown state {name!r}")
+    return len(next(iter(_NAMED_COEFFS[name])))
+
+
+def state_by_name(name: str, n_qubits: int) -> np.ndarray:
+    """CLI-facing dispatcher: psi1..psi3, bell-a..bell-d, or custom:<amps>,
+    checked against ``n_qubits``."""
+    n = qubit_count(name)
+    if n != n_qubits:
+        shown = "custom state" if name.startswith("custom") else f"state {name!r}"
+        raise ValueError(f"{shown} requires n_qubits={n}, got {n_qubits}")
+    return _from_coeffs(_NAMED_COEFFS[name]) if name in _NAMED_COEFFS else parse_custom(name, n)
 
 
 def to_density(amps: np.ndarray) -> SectorDM:

@@ -91,13 +91,13 @@ def fidelity(rho0: np.ndarray, rho_rot: np.ndarray) -> float:
     return f.real
 
 
-def fidelity_series_loop(times, flat_states, rho0, omega_prime, n_qubits, n_sectors) -> np.ndarray:
+def fidelity_series_loop(times, flat_states, rho0, omega_prime) -> np.ndarray:
     """F(t) sample by sample through the single-sample reductions."""
     from qdfsim.analysis import qubit_dm_from_flat, rotating_frame
 
     return np.array(
         [
-            fidelity(rho0, rotating_frame(qubit_dm_from_flat(vec, n_qubits, n_sectors), omega_prime, t))
+            fidelity(rho0, rotating_frame(qubit_dm_from_flat(vec, len(rho0)), omega_prime, t))
             for t, vec in zip(times, flat_states)
         ]
     )

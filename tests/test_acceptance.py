@@ -36,7 +36,7 @@ from conftest import dense_hamiltonian
 
 from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim.baseline import baseline_fidelity
-from qdfsim.cli import RunConfig, execute_run, run_figure, write_figure
+from qdfsim.cli import RunConfig, execute_run, run_eta_figure, run_time_figure, write_figure
 from qdfsim.integrator import evolve_expm, evolve_rk4
 from qdfsim.liouvillian import SECTORS_REDUCED, assemble, reduce_spin_symmetric
 from qdfsim.model import ModelParams
@@ -69,17 +69,17 @@ def batch_evolve(n: int, names, zeta: float, t_end=50.0, dt=1e-3, si=0.1):
 
 @pytest.fixture(scope="module")
 def fig2_csv() -> dict[str, np.ndarray]:
-    return parse_csv(run_figure("fig2"))
+    return parse_csv(run_time_figure("fig2"))
 
 
 @pytest.fixture(scope="module")
 def fig3b_csv() -> dict[str, np.ndarray]:
-    return parse_csv(run_figure("fig3b"))
+    return parse_csv(run_time_figure("fig3b"))
 
 
 @pytest.fixture(scope="module")
 def fig4_csv() -> dict[str, dict[str, np.ndarray]]:
-    return {case: parse_csv(run_figure(fig)) for fig, case in
+    return {case: parse_csv(run_eta_figure(fig)) for fig, case in
             (("fig4a", "case_ii"), ("fig4b", "case_iii"))}
 
 
@@ -96,8 +96,8 @@ def test_criterion_01_equation_count():
     om = rotation_frequencies(p)
     tf = evolve_rk4(full, sdm.flatten(), 5.0, 0.01, 0.5)
     tr = evolve_rk4(red, sdm.flatten(SECTORS_REDUCED), 5.0, 0.01, 0.5)
-    f_full = fidelity_series(tf.times, tf.states, rho0, om, 4, 4)
-    f_red = fidelity_series(tr.times, tr.states, rho0, om, 4, 3)
+    f_full = fidelity_series(tf.times, tf.states, rho0, om)
+    f_red = fidelity_series(tr.times, tr.states, rho0, om)
     df = float(np.abs(f_full - f_red).max())
     elapsed = time.perf_counter() - t0
 
@@ -144,7 +144,7 @@ def test_criterion_03_oracle_equivalence():
         p = ModelParams.uniform(n, zeta=0.2)
         g = reduce_spin_symmetric(assemble(p))
         v0 = to_density(state_by_name(state, n)).flatten(SECTORS_REDUCED)
-        rk4 = evolve_rk4(g, v0, 50.0, 1e-3, sample_interval=50.0).final()
+        rk4 = evolve_rk4(g, v0, 50.0, 1e-3, sample_interval=50.0).states[-1]
         ref = evolve_expm(g, v0, 50.0)
         diffs[n] = float(np.abs(rk4 - ref).max())
     elapsed = time.perf_counter() - t0
@@ -167,7 +167,7 @@ def test_criterion_04_decoupled_limit():
         om = rotation_frequencies(p)
         for k, a in enumerate(amps):
             rho0 = np.outer(a, a.conj())
-            f = fidelity_series(traj.times, traj.states[:, :, k], rho0, om, n, 3)
+            f = fidelity_series(traj.times, traj.states[:, :, k], rho0, om)
             worst = max(worst, float(np.abs(f - 1.0).max()))
     ok = worst < 1e-8
     report("criterion-4 decoupled limit", ok, f"max|F-1|={worst:.2e} over 7 states, t<=50")

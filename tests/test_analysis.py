@@ -29,7 +29,7 @@ class TestReduce:
     def test_from_flat_reduced_counts_b_once(self):
         sdm = to_density(make_bell("c"))
         flat = sdm.flatten(SECTORS_REDUCED)
-        assert np.allclose(qubit_dm_from_flat(flat, 2, 3), sector_sum(sdm), atol=1e-15)
+        assert np.allclose(qubit_dm_from_flat(flat, 4), sector_sum(sdm), atol=1e-15)
 
     def test_trace_one_along_trajectory(self):
         p = ModelParams.uniform(2, zeta=0.6)
@@ -37,7 +37,7 @@ class TestReduce:
         v0 = to_density(make_bell("b")).flatten(SECTORS_REDUCED)
         traj = evolve_rk4(g, v0, 10.0, 1e-3, 1.0)
         for vec in traj.states:
-            rq = qubit_dm_from_flat(vec, 2, 3)
+            rq = qubit_dm_from_flat(vec, 4)
             assert np.trace(rq).real == pytest.approx(1.0, abs=1e-9)
 
 
@@ -95,7 +95,7 @@ class TestRotatingFrame:
 def fidelity(rho0: np.ndarray, rho: np.ndarray) -> float:
     """F of one sample through fidelity_series: t = 0, omega' = 0, one sector."""
     n = len(rho0).bit_length() - 1
-    return fidelity_series([0.0], rho.reshape(1, -1), rho0, np.zeros(n), n, 1)[0]
+    return fidelity_series([0.0], rho.reshape(1, -1), rho0, np.zeros(n))[0]
 
 
 class TestFidelity:
@@ -153,8 +153,8 @@ class TestFidelitySeries:
     @pytest.mark.parametrize("n, amps", [(2, make_bell("b")), (4, make_df4("psi2"))], ids=["n2", "n4"])
     def test_matches_per_sample_oracle(self, n, amps):
         traj, rho0, om = self.trajectory(n, amps)
-        got = fidelity_series(traj.times, traj.states, rho0, om, n, 3)
-        ref = fidelity_series_loop(traj.times, traj.states, rho0, om, n, 3)
+        got = fidelity_series(traj.times, traj.states, rho0, om)
+        ref = fidelity_series_loop(traj.times, traj.states, rho0, om)
         assert got.shape == (51,)
         assert np.abs(got - ref).max() <= 1e-14
 
@@ -163,16 +163,24 @@ class TestFidelitySeries:
         states = traj.states.copy()
         states[7] *= 1.1
         with pytest.raises(ValueError, match="unit-trace.*t=0.7"):
-            fidelity_series(traj.times, states, rho0, om, 2, 3)
+            fidelity_series(traj.times, states, rho0, om)
         with pytest.raises(ValueError, match="unit-trace"):
-            fidelity_series(traj.times, traj.states, 2 * rho0, om, 2, 3)
+            fidelity_series(traj.times, traj.states, 2 * rho0, om)
+
+    def test_partial_sector_rejected(self):
+        # the sector count is read from the flat length, which must hold whole D x D blocks
+        traj, rho0, om = self.trajectory(2, make_bell("b"))
+        with pytest.raises(ValueError, match="flat length 47 is not a whole number of 4x4 sectors"):
+            fidelity_series(traj.times, traj.states[:, :-1], rho0, om)
+        with pytest.raises(ValueError, match="flat length 0 is not"):
+            qubit_dm_from_flat(np.zeros(0), 4)
 
     def test_non_real_overlap_rejected(self):
         traj, rho0, om = self.trajectory(2, make_bell("b"))
         states = traj.states.copy()
         states[0, 3] += 0.5j  # rho_a[0, 3] only: no longer hermitian, F(0) gains -0.25j
         with pytest.raises(ValueError, match=r"non-real value \(\S+-0\.2\d*j\) at t=0;"):
-            fidelity_series(traj.times, states, rho0, om, 2, 3)
+            fidelity_series(traj.times, states, rho0, om)
 
 
 class TestUnitaryLimit:
@@ -183,11 +191,9 @@ class TestUnitaryLimit:
         v0 = to_density(amps).flatten(SECTORS_REDUCED)
         traj = evolve_rk4(g, v0, 20.0, 1e-3, 1.0)
         rho0 = np.outer(amps, amps.conj())
-        fids = fidelity_series(
-            traj.times, traj.states, rho0, rotation_frequencies(p), 2, 3
-        )
+        fids = fidelity_series(traj.times, traj.states, rho0, rotation_frequencies(p))
         assert np.abs(fids - 1.0).max() < 1e-8
         for vec in traj.states:
-            rq = qubit_dm_from_flat(vec, 2, 3)
+            rq = qubit_dm_from_flat(vec, 4)
             purity = np.trace(rq @ rq).real
             assert purity == pytest.approx(1.0, abs=1e-8)

@@ -293,8 +293,19 @@ class TestCommands:
             (["--t-end", "1", "--sample-interval", "0.3"], "sample_interval=0.3 must divide t_end=1.0"),
             (["--t-end", "-5"], "t_end must be non-negative, got -5.0"),
             (["--t-end", "inf"], "t_end must be finite, got inf"),
+            (
+                ["--t-end", "1e300", "--sample-interval", "1e-10"],
+                "the grid holds inf samples, more than 100,000",
+            ),
         ],
-        ids=["huge_t_end", "zero_interval", "non_dividing", "negative_t_end", "infinite_t_end"],
+        ids=[
+            "huge_t_end",
+            "zero_interval",
+            "non_dividing",
+            "negative_t_end",
+            "infinite_t_end",
+            "count_past_float_range",
+        ],
     )
     def test_baseline_grid_exit_two(self, args, reason):
         result = CliRunner().invoke(main, ["baseline", "--state", "bell-b", "--gamma-d", "0.3", *args])
@@ -327,6 +338,50 @@ class TestCommands:
         assert result.output.strip().splitlines() == [
             f"Error: custom state needs 2^N amplitudes with N >= 1, got {count}"
         ]
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (
+                '{"t_end": 1e300, "sample_interval": 1e-10, "dt": 1e-10}',
+                "the grid holds inf samples, more than 100,000",
+            ),
+            (
+                '{"t_end": 1e300, "sample_interval": 1e300, "dt": 1e-10}',
+                "sample_interval=1e+300 over dt=1e-10 is past the float range",
+            ),
+        ],
+        ids=["count", "steps"],
+    )
+    def test_simulate_grid_past_float_range_exit_two(self, tmp_path, text, reason):
+        cfg_file = tmp_path / "grid.json"
+        cfg_file.write_text(text)
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert result.exit_code == 2
+        assert result.output.strip().splitlines() == [f"Error: t_end/dt/sample_interval: {reason}"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "amps, reason",
+        [
+            ("1e308,1e308,1e308,1e308", "custom state has a norm past the float range"),
+            ("inf,0,0,0", "custom state has a non-finite amplitude 'inf'"),
+            ("nan,1,0,0", "custom state has a non-finite amplitude 'nan'"),
+        ],
+        ids=["norm_overflow", "inf", "nan"],
+    )
+    def test_non_finite_custom_state_exit_two(self, tmp_path, amps, reason):
+        # normalizing these would give zeros or nans; both commands refuse the state
+        state = f"custom:{amps}"
+        base = CliRunner().invoke(
+            main, ["baseline", "--state", state, "--gamma-d", "0.3", "--t-end", "0.2"]
+        )
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"n_qubits": 2, "state": state, "t_end": 0.2}))
+        sim = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert (base.exit_code, sim.exit_code) == (2, 2)
+        assert base.output.strip().splitlines() == [f"Error: {reason}"]
+        assert sim.output.strip().splitlines() == [f"Error: state: {reason}"]
 
     def test_baseline_rejects_unknown_state(self):
         result = CliRunner().invoke(main, ["baseline", "--state", "ghz", "--gamma-d", "0.1"])

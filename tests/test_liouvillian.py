@@ -52,7 +52,8 @@ def case_ii_params() -> ModelParams:
 def dense_oracle(g: Generator) -> np.ndarray:
     """Independent dense matrix built entry-by-entry from the entry list."""
     m = np.zeros((g.dim, g.dim), dtype=complex)
-    for r, c, v in g.entries():
+    coo = g.csr.tocoo()
+    for r, c, v in zip(coo.row, coo.col, coo.data):
         m[r, c] += v
     return m
 
@@ -138,7 +139,8 @@ class TestAssembly:
 
     def test_no_duplicate_positions(self):
         g = assemble(nonuniform_params())
-        keys = {(r, c) for r, c, _ in g.entries()}
+        coo = g.csr.tocoo()
+        keys = set(zip(coo.row.tolist(), coo.col.tolist()))
         assert len(keys) == g.nnz
 
     def test_trace_preservation_identity(self):
@@ -204,7 +206,8 @@ class TestAssembly:
     def test_conjugation_symmetry_of_entries(self):
         g = assemble(nonuniform_params())
         d = 2**g.n_qubits
-        lookup = {(r, c): v for r, c, v in g.entries()}
+        coo = g.csr.tocoo()
+        lookup = {(r, c): v for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data)}
         for (r, c), v in lookup.items():
             s1, z1, z2 = r // (d * d), (r // d) % d, r % d
             s2, w1, w2 = c // (d * d), (c // d) % d, c % d
@@ -308,7 +311,7 @@ class TestLindblad:
         s, z1, z2 = np.meshgrid(np.arange(4), np.arange(d), np.arange(d), indexing="ij")
         diag = ((s * d + z1) * 4 * d + s * d + z2).ravel()
         coherence = np.setdiff1d(np.arange(len(lind)), diag)
-        got = assemble(p).as_dense()
+        got = assemble(p).csr.toarray()
         err = np.abs(lind[np.ix_(diag, diag)] - got).max() / np.abs(got).max()
         assert err <= 1e-15
         # closed: island-diagonal states never feed the island coherences
@@ -318,7 +321,7 @@ class TestLindblad:
     def assert_left_half_plane(p: ModelParams) -> None:
         full = assemble(p)
         for g in (full, reduce_spin_symmetric(full)):
-            dense = g.as_dense()
+            dense = g.csr.toarray()
             assert np.linalg.eigvals(dense).real.max() <= 1e-12 * np.abs(dense).max()
 
     @settings(max_examples=25, deadline=None)
@@ -429,7 +432,8 @@ class TestReduction:
         # N=2 single-qubit barriers at zeta=0 give GL = GR = 1
         p = ModelParams.uniform(2, omega=0.0, zeta=0.0)
         red = reduce_spin_symmetric(assemble(p))
-        lookup = {(r, c): v for r, c, v in red.entries()}
+        coo = red.csr.tocoo()
+        lookup = {(r, c): v for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data)}
         b_from_a = lookup[(flat_index(1, 0, 0, 2), flat_index(0, 0, 0, 2))]
         assert b_from_a == pytest.approx(2.0, abs=1e-14)
         a_from_b = lookup[(flat_index(0, 0, 0, 2), flat_index(1, 0, 0, 2))]

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from qdfsim.states import (
+    BELL_NAMES,
+    DF4_NAMES,
     make_bell,
     make_df4,
     parse_custom,
+    qubit_count,
     state_by_name,
     to_density,
 )
@@ -171,6 +174,60 @@ class TestStateByName:
         with pytest.raises(ValueError):
             parse_custom("custom:0,0,0,0", 2)
 
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("custom:inf,0,0,0", "non-finite amplitude 'inf'"),
+            ("custom:nan,1,0,0", "non-finite amplitude 'nan'"),
+            ("custom:1,0,1+infj,0", r"non-finite amplitude '1\+infj'"),
+            ("custom:1e308,1e308,1e308,1e308", "norm past the float range"),
+            ("custom:1e200,0,0,0", "norm past the float range"),
+        ],
+        ids=["inf", "nan", "complex_inf", "norm_overflow", "square_overflow"],
+    )
+    def test_custom_non_finite_refused(self, spec, reason):
+        with pytest.raises(ValueError, match=reason):
+            parse_custom(spec, 2)
+        with pytest.raises(ValueError, match=reason):
+            state_by_name(spec, 2)
+
+    def test_custom_finite_norm_normalizes_as_before(self):
+        # large amplitudes whose norm stays finite divide by that norm exactly
+        raw = np.array([1e154, -2e153j, 3e150, 0.5])
+        got = parse_custom("custom:1e154,-2e153j,3e150,0.5", 2)
+        assert np.array_equal(got, raw / np.linalg.norm(raw))
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             state_by_name("ghz", 4)
+
+
+class TestQubitCount:
+    def test_named_states_from_their_tables(self):
+        for name in DF4_NAMES:
+            assert qubit_count(name) == 4
+            assert len(make_df4(name)) == 2 ** qubit_count(name)
+        for name in BELL_NAMES:
+            assert qubit_count(name) == 2
+            assert len(make_bell(name)) == 2 ** qubit_count(name)
+
+    @pytest.mark.parametrize("count, n", [(2, 1), (4, 2), (32, 5)])
+    def test_custom_from_amplitude_count(self, count, n):
+        assert qubit_count("custom:" + ",".join(["1"] + ["0"] * (count - 1))) == n
+
+    @pytest.mark.parametrize("amps", ["1", "1,0,0", "1,0,0,0,0,0"])
+    def test_custom_count_not_a_power_of_two(self, amps):
+        count = len(amps.split(","))
+        reason = rf"custom state needs 2\^N amplitudes with N >= 1, got {count}$"
+        with pytest.raises(ValueError, match=reason):
+            qubit_count(f"custom:{amps}")
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown state 'ghz'"):
+            qubit_count("ghz")
+
+    def test_state_by_name_checks_the_count(self):
+        with pytest.raises(ValueError, match="custom state requires n_qubits=2, got 3"):
+            state_by_name("custom:1,0,0,0", 3)
+        with pytest.raises(ValueError, match="state 'bell-a' requires n_qubits=2, got 4"):
+            state_by_name("bell-a", 4)
