@@ -21,7 +21,6 @@ import numpy as np
 
 from . import analysis, baseline, states
 from .integrator import (
-    DEFAULT_DT,
     REAL_FORM_TOL,
     _evolve_krylov,
     _evolve_propagator,
@@ -67,7 +66,7 @@ class RunConfig:
     scenario: str = "uniform"
     primed_scale: float = 1.0
     t_end: float = 50.0
-    dt: float = DEFAULT_DT
+    dt: float = 1e-3
     sample_interval: float = 0.1
     barriers: dict[str, list[int]] | None = None
     output: str | None = None
@@ -453,7 +452,7 @@ def run_verify() -> list[Check]:
     defect = float(np.abs(out - out.conj().transpose(0, 2, 1)).max())
     checks.append(Check("hermiticity_preservation_n2", defect, 1e-12))
 
-    amps = states.make_bell("d")
+    amps = states.state_by_name("bell-d", 2)
     v0 = states.to_density(amps).flatten(SECTORS_REDUCED)
     rk4_final = evolve_rk4(g2, v0, 50.0, 1e-3, 50.0).states[-1]
     expm_final = evolve_expm(g2, v0, 50.0)
@@ -462,7 +461,8 @@ def run_verify() -> list[Check]:
     )
 
     p4, full4, red4 = built[4]
-    amps4 = states.make_df4("psi2")
+    df4 = {name: states.state_by_name(name, 4) for name in states.DF4_NAMES}
+    amps4 = df4["psi2"]
     sdm = states.to_density(amps4)
     rho0 = np.outer(amps4, amps4.conj())
     omega_prime = analysis.rotation_frequencies(p4)
@@ -475,13 +475,12 @@ def run_verify() -> list[Check]:
     )
 
     grid = np.linspace(0.0, 10.0, 21)
-    df_states = [states.make_df4(name) for name in states.DF4_NAMES]
-    df_states += [states.make_bell(name) for name in ("c", "d")]
+    df_states = [*df4.values()] + [states.state_by_name(name, 2) for name in ("bell-c", "bell-d")]
     worst = max(
         float(np.abs(baseline.baseline_fidelity(a, 0.3, grid) - 1.0).max()) for a in df_states
     )
     checks.append(Check("df_baseline_certification", worst, 1e-12))
-    f_b = baseline.baseline_fidelity(states.make_bell("b"), 0.3, grid)
+    f_b = baseline.baseline_fidelity(states.state_by_name("bell-b", 2), 0.3, grid)
     closed = 0.5 * (1.0 + np.exp(-8.0 * 0.3 * grid))
     checks.append(Check("bell_b_closed_form", float(np.abs(f_b - closed).max()), 1e-10))
 
@@ -502,10 +501,7 @@ def run_verify() -> list[Check]:
     # propagator on fig3b's case-ii group (psi1-psi3 as one batch), over 3
     # samples of 100 steps
     g4 = reduced_generator(apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05))
-    v4 = np.stack(
-        [states.to_density(states.make_df4(s)).flatten(SECTORS_REDUCED) for s in states.DF4_NAMES],
-        axis=1,
-    )
+    v4 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in df4.values()], axis=1)
     krylov = _evolve_krylov(g4, v4, 3, 100, 1e-3)
     dense = _evolve_propagator(g4, v4, 3, 100, 1e-3)
     checks.append(Check("krylov_route_n4", float(np.abs(krylov - dense).max()), 1e-12))

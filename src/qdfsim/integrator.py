@@ -55,9 +55,9 @@ and hold half the memory.
   or hands them to a sink in blocks of at most :data:`_BLOCK_BYTES`.
 
 The spectrum of the generator is set by rates and couplings of order one, so
-the default step ``dt = 1e-3`` resolves it with a wide margin; no stiffness
-handling is attempted (rates orders of magnitude above the coupling would
-need an implicit scheme, which is out of scope).
+the step ``dt = 1e-3`` of every figure run resolves it with a wide margin; no
+stiffness handling is attempted (rates orders of magnitude above the
+coupling would need an implicit scheme, which is out of scope).
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .liouvillian import Generator
-
-DEFAULT_DT = 1e-3
 
 # Largest dimension of the dense evolve_expm oracle.
 _DENSE_LIMIT = 4096
@@ -174,19 +172,17 @@ def _to_real(rf: RealForm, v0: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real, x.imag], axis=1)
 
 
-def _sample_grid(t_end: float, dt: float, sample_interval: float | None) -> tuple[int, int]:
+def _sample_grid(t_end: float, dt: float, sample_interval: float) -> tuple[int, int]:
     """Validate the grid and return (n_intervals, steps_per_sample)."""
     for name, value in (("t_end", t_end), ("sample_interval", sample_interval), ("dt", dt)):
-        if value is not None and not np.isfinite(value):
+        if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if t_end < 0.0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
-    if sample_interval is not None and sample_interval <= 0.0:
+    if sample_interval <= 0.0:
         raise ValueError(f"sample_interval must be positive, got {sample_interval}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if sample_interval is None:
-        sample_interval = t_end if t_end > 0.0 else dt
     steps = sample_interval / dt
     if not math.isfinite(steps):
         raise ValueError(f"sample_interval={sample_interval} over dt={dt} is past the float range")
@@ -419,8 +415,8 @@ def evolve_rk4(
     g: Generator,
     v0: np.ndarray,
     t_end: float,
-    dt: float = DEFAULT_DT,
-    sample_interval: float | None = None,
+    dt: float,
+    sample_interval: float,
     sink=None,
 ) -> Trajectory | None:
     """Fixed-step RK4 trajectory sampled every ``sample_interval`` time units.

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ModelParams, config_energy
+from .model import ModelParams, config_energies
 from .rates import rate_table
 
 SECTORS_FULL = ("a", "b_up", "b_dn", "c")
@@ -176,7 +176,7 @@ def assemble(p: ModelParams) -> Generator:
     """Assemble the full four-sector generator from the model parameters."""
     d = 2**p.n_qubits
     z = np.arange(d)
-    h = np.diag([config_energy(k, p) for k in range(d)])
+    h = np.diag(config_energies(p))
     for j, w in enumerate(p.omega):
         h[z, z ^ (1 << j)] += w
     h = sp.csr_matrix(h)

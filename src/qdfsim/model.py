@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
+
 GAMMA0_UNIT = 1.0
 
 # Which qubits a named non-uniformity case perturbs (defined for N = 4).
@@ -164,16 +166,20 @@ def apply_scenario(base: ModelParams, name: str, eta: float) -> ModelParams:
     )
 
 
-def config_energy(z: int, p: ModelParams) -> float:
-    """Diagonal qubit energy of configuration z.
+def config_spins(n: int) -> np.ndarray:
+    """Sigma-z eigenvalues of every configuration, shape (2^N, N): row z,
+    column i - 1 holds qubit i's spin, +1.0 where bit i - 1 of z is set."""
+    z = np.arange(2**n)
+    return np.where((z[:, None] >> np.arange(n)) & 1, 1.0, -1.0)
+
+
+def config_energies(p: ModelParams) -> np.ndarray:
+    """Diagonal qubit energy of every configuration, indexed by z.
 
     Evaluates ``sum_i epsilon_i s_i + sum_i J_{i,i+1} s_i s_{i+1}``, i.e. the
-    diagonal of the qubit Hamiltonian in the configuration basis.
+    diagonal of the qubit Hamiltonian in the configuration basis; each sum
+    runs over ascending i and the two are added last.
     """
-    n = p.n_qubits
-    if not 0 <= z < 2**n:
-        raise ValueError(f"configuration index {z} out of range for {n} qubits")
-    s = [1.0 if (z >> i) & 1 else -1.0 for i in range(n)]
-    e = sum(p.epsilon[i] * s[i] for i in range(n))
-    e += sum(p.j_coupling[i] * s[i] * s[i + 1] for i in range(n - 1))
-    return e
+    s = config_spins(p.n_qubits).T
+    e = sum(p.epsilon[i] * s[i] for i in range(p.n_qubits))
+    return e + sum(p.j_coupling[i] * s[i] * s[i + 1] for i in range(p.n_qubits - 1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, config_spins
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,10 @@ def _series_rates(qubits: frozenset[int], p: ModelParams) -> np.ndarray:
     Qubits are summed in ascending order, so the result does not depend on
     set iteration order.  ``ModelParams`` guarantees positive branch rates.
     """
-    z = np.arange(2**p.n_qubits)
-    inv = np.zeros(len(z))
+    spins = config_spins(p.n_qubits)
+    inv = np.zeros(len(spins))
     for i in sorted(qubits):
-        spin = np.where((z >> (i - 1)) & 1, 1.0, -1.0)
-        inv += 1.0 / (p.gamma0[i - 1] + spin * p.delta_gamma[i - 1])
+        inv += 1.0 / (p.gamma0[i - 1] + spins[:, i - 1] * p.delta_gamma[i - 1])
     return 1.0 / inv
 
 

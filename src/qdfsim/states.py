@@ -15,22 +15,13 @@ from .liouvillian import SectorDM
 _NORM_TOL = 1e-12
 
 DF4_NAMES = ("psi1", "psi2", "psi3")
-BELL_NAMES = ("bell-a", "bell-b", "bell-c", "bell-d")
 
-
-def _index(bits: str) -> int:
-    """Configuration index of a logical bit string written qubit-1-first."""
-    z = 0
-    for j, b in enumerate(bits):
-        if b == "1":
-            z |= 1 << j
-    return z
-
-
-# Coefficient tables over logical bit strings (qubit 1 first, |0> = spin down).
+# Every named state as coefficients over logical bit strings (qubit 1 first,
+# |0> = spin down); the length of its bit strings is its qubit count.
+_SQ2 = float(np.sqrt(2.0))
 _SQ3 = float(np.sqrt(3.0))
-_DF4_COEFFS = {
-    # singlet(1,2) x singlet(3,4)
+_NAMED_COEFFS = {
+    # four-qubit decoherence-free states; psi1 = singlet(1,2) x singlet(3,4)
     "psi1": {"0101": 0.5, "0110": -0.5, "1001": -0.5, "1010": 0.5},
     "psi2": {
         "0011": 1.0 / _SQ3,
@@ -43,42 +34,12 @@ _DF4_COEFFS = {
     # psi1 with qubit positions relabeled (1,2,3,4) -> (1,4,3,2):
     # singlet(1,4) x singlet(3,2)
     "psi3": {"0101": 0.5, "0011": -0.5, "1100": -0.5, "1010": 0.5},
-}
-
-_SQ2 = float(np.sqrt(2.0))
-_BELL_COEFFS = {
+    # two-qubit Bell states; bell-d is the singlet
     "bell-a": {"00": 1 / _SQ2, "11": 1 / _SQ2},
     "bell-b": {"00": 1 / _SQ2, "11": -1 / _SQ2},
     "bell-c": {"01": 1 / _SQ2, "10": 1 / _SQ2},
     "bell-d": {"01": 1 / _SQ2, "10": -1 / _SQ2},
 }
-# Every named state; the length of its bit strings is its qubit count.
-_NAMED_COEFFS = {**_DF4_COEFFS, **_BELL_COEFFS}
-
-
-def _from_coeffs(coeffs: dict[str, float]) -> np.ndarray:
-    amps = np.zeros(2 ** len(next(iter(coeffs))), dtype=np.complex128)
-    for bits, c in coeffs.items():
-        amps[_index(bits)] = c
-    return amps
-
-
-def make_df4(which: str) -> np.ndarray:
-    """One of the three four-qubit decoherence-free vectors (psi1, psi2, psi3)."""
-    key = which.lower()
-    if key not in _DF4_COEFFS:
-        raise ValueError(f"unknown four-qubit state {which!r}; expected psi1|psi2|psi3")
-    return _from_coeffs(_DF4_COEFFS[key])
-
-
-def make_bell(which: str) -> np.ndarray:
-    """One of the four two-qubit Bell vectors; 'd' (or 'bell-d') is the singlet."""
-    key = which.lower()
-    if not key.startswith("bell-"):
-        key = f"bell-{key}"
-    if key not in _BELL_COEFFS:
-        raise ValueError(f"unknown Bell state {which!r}; expected a|b|c|d")
-    return _from_coeffs(_BELL_COEFFS[key])
 
 
 def _amplitude_fields(spec: str) -> list[str]:
@@ -123,13 +84,18 @@ def qubit_count(name: str) -> int:
 
 
 def state_by_name(name: str, n_qubits: int) -> np.ndarray:
-    """CLI-facing dispatcher: psi1..psi3, bell-a..bell-d, or custom:<amps>,
-    checked against ``n_qubits``."""
+    """Amplitudes of psi1..psi3, bell-a..bell-d or custom:<amps>, checked
+    against ``n_qubits``; the one constructor of a state by name."""
     n = qubit_count(name)
     if n != n_qubits:
         shown = "custom state" if name.startswith("custom") else f"state {name!r}"
         raise ValueError(f"{shown} requires n_qubits={n}, got {n_qubits}")
-    return _from_coeffs(_NAMED_COEFFS[name]) if name in _NAMED_COEFFS else parse_custom(name, n)
+    if name not in _NAMED_COEFFS:
+        return parse_custom(name, n)
+    amps = np.zeros(2**n, dtype=np.complex128)
+    for bits, c in _NAMED_COEFFS[name].items():
+        amps[int(bits[::-1], 2)] = c  # qubit 1 is bit 0
+    return amps
 
 
 def to_density(amps: np.ndarray) -> SectorDM:

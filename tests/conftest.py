@@ -92,15 +92,21 @@ def fidelity(rho0: np.ndarray, rho_rot: np.ndarray) -> float:
 
 
 def fidelity_series_loop(times, flat_states, rho0, omega_prime) -> np.ndarray:
-    """F(t) sample by sample through the single-sample reductions."""
-    from qdfsim.analysis import qubit_dm_from_flat, rotating_frame
-
-    return np.array(
-        [
-            fidelity(rho0, rotating_frame(qubit_dm_from_flat(vec, len(rho0)), omega_prime, t))
-            for t, vec in zip(times, flat_states)
-        ]
-    )
+    """F(t) sample by sample: the sectors summed entry by entry through
+    ``flat_index``, and R(t) = prod_i (cos(w_i t) + i sin(w_i t) X_i) as the
+    Kronecker chain of its one-qubit factors."""
+    d = len(rho0)
+    n = d.bit_length() - 1
+    out = []
+    for t, vec in zip(times, flat_states):
+        sectors = range(len(vec) // (d * d))
+        rho_q = np.zeros((d, d), dtype=complex)
+        for z1 in range(d):
+            for z2 in range(d):
+                rho_q[z1, z2] = sum(vec[flat_index(s, z1, z2, n)] for s in sectors)
+        r = kron_chain([np.cos(w * t) * I2 + 1j * np.sin(w * t) * SX for w in omega_prime])
+        out.append(fidelity(rho0, r @ rho_q @ r.conj().T))
+    return np.array(out)
 
 
 @pytest.fixture

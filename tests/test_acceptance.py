@@ -41,7 +41,7 @@ from qdfsim.integrator import evolve_expm, evolve_rk4
 from qdfsim.liouvillian import SECTORS_REDUCED, assemble, reduce_spin_symmetric
 from qdfsim.model import ModelParams
 from qdfsim.rates import rate_table
-from qdfsim.states import make_bell, make_df4, state_by_name, to_density
+from qdfsim.states import state_by_name, to_density
 
 DF4 = ("psi1", "psi2", "psi3")
 BELLS = ("bell-a", "bell-b", "bell-c", "bell-d")
@@ -90,7 +90,7 @@ def test_criterion_01_equation_count():
     red = reduce_spin_symmetric(full)
     dims_ok = (full.dim, red.dim) == (1024, 768)
 
-    amps = make_df4("psi2")
+    amps = state_by_name("psi2", 4)
     sdm = to_density(amps)
     rho0 = np.outer(amps, amps.conj())
     om = rotation_frequencies(p)
@@ -179,12 +179,12 @@ def test_criterion_05_df_baseline_certification():
     times = np.linspace(0.0, 10.0, 41)
     worst_df = 0.0
     for name in DF4:
-        f = baseline_fidelity(make_df4(name), gamma_d, times)
+        f = baseline_fidelity(state_by_name(name, 4), gamma_d, times)
         worst_df = max(worst_df, float(np.abs(f - 1.0).max()))
-    for name in ("c", "d"):
-        f = baseline_fidelity(make_bell(name), gamma_d, times)
+    for name in ("bell-c", "bell-d"):
+        f = baseline_fidelity(state_by_name(name, 2), gamma_d, times)
         worst_df = max(worst_df, float(np.abs(f - 1.0).max()))
-    f_b = baseline_fidelity(make_bell("b"), gamma_d, times)
+    f_b = baseline_fidelity(state_by_name("bell-b", 2), gamma_d, times)
     closed = 0.5 * (1.0 + np.exp(-8.0 * gamma_d * times))
     dev_b = float(np.abs(f_b - closed).max())
     ok = worst_df < 1e-12 and dev_b < 1e-10
@@ -277,7 +277,7 @@ def test_criterion_08_fig4_eta0_below_one(fig4_csv):
     # vec(|psi1><psi1|) (orthonormal, since Tr P^2 = 1) into their own span
     p = ModelParams.uniform(4, zeta=0.2)
     g = reduce_spin_symmetric(assemble(p))
-    psi1 = make_df4("psi1")
+    psi1 = state_by_name("psi1", 4)
     proj = np.outer(psi1, psi1.conj()).ravel()
     basis = np.kron(np.eye(len(SECTORS_REDUCED)), proj[:, None])
     image = g.apply(basis)
@@ -286,7 +286,7 @@ def test_criterion_08_fig4_eta0_below_one(fig4_csv):
     rates = rate_table(p)
     spread = {}
     for s in DF4:
-        support = np.flatnonzero(make_df4(s))
+        support = np.flatnonzero(state_by_name(s, 4))
         spread[s] = max(np.ptp(rates.gamma_L[support]), np.ptp(rates.gamma_R[support]))
 
     ok = (

@@ -11,7 +11,7 @@ from qdfsim.analysis import (
 from qdfsim.integrator import evolve_rk4
 from qdfsim.liouvillian import SECTORS_REDUCED, assemble, reduce_spin_symmetric
 from qdfsim.model import ModelParams
-from qdfsim.states import make_bell, make_df4, to_density
+from qdfsim.states import state_by_name, to_density
 
 from conftest import I2, SX, fidelity_series_loop, kron_chain
 
@@ -23,18 +23,18 @@ def sector_sum(sdm) -> np.ndarray:
 
 class TestReduce:
     def test_initial_state_is_projector(self):
-        amps = make_df4("psi2")
+        amps = state_by_name("psi2", 4)
         assert np.allclose(sector_sum(to_density(amps)), np.outer(amps, amps.conj()), atol=1e-15)
 
     def test_from_flat_reduced_counts_b_once(self):
-        sdm = to_density(make_bell("c"))
+        sdm = to_density(state_by_name("bell-c", 2))
         flat = sdm.flatten(SECTORS_REDUCED)
         assert np.allclose(qubit_dm_from_flat(flat, 4), sector_sum(sdm), atol=1e-15)
 
     def test_trace_one_along_trajectory(self):
         p = ModelParams.uniform(2, zeta=0.6)
         g = reduce_spin_symmetric(assemble(p))
-        v0 = to_density(make_bell("b")).flatten(SECTORS_REDUCED)
+        v0 = to_density(state_by_name("bell-b", 2)).flatten(SECTORS_REDUCED)
         traj = evolve_rk4(g, v0, 10.0, 1e-3, 1.0)
         for vec in traj.states:
             rq = qubit_dm_from_flat(vec, 4)
@@ -100,7 +100,7 @@ def fidelity(rho0: np.ndarray, rho: np.ndarray) -> float:
 
 class TestFidelity:
     def test_initial_overlap_is_one(self):
-        amps = make_df4("psi1")
+        amps = state_by_name("psi1", 4)
         rho0 = np.outer(amps, amps.conj())
         assert fidelity(rho0, rho0) == pytest.approx(1.0, abs=1e-12)
 
@@ -150,16 +150,16 @@ class TestFidelitySeries:
         traj = evolve_rk4(g, to_density(amps).flatten(SECTORS_REDUCED), 5.0, 1e-3, 0.1)
         return traj, np.outer(amps, amps.conj()), rotation_frequencies(p)
 
-    @pytest.mark.parametrize("n, amps", [(2, make_bell("b")), (4, make_df4("psi2"))], ids=["n2", "n4"])
-    def test_matches_per_sample_oracle(self, n, amps):
-        traj, rho0, om = self.trajectory(n, amps)
+    @pytest.mark.parametrize("n, name", [(2, "bell-b"), (4, "psi2")], ids=["n2", "n4"])
+    def test_matches_per_sample_oracle(self, n, name):
+        traj, rho0, om = self.trajectory(n, state_by_name(name, n))
         got = fidelity_series(traj.times, traj.states, rho0, om)
         ref = fidelity_series_loop(traj.times, traj.states, rho0, om)
         assert got.shape == (51,)
         assert np.abs(got - ref).max() <= 1e-14
 
     def test_trace_breach_rejected(self):
-        traj, rho0, om = self.trajectory(2, make_bell("b"))
+        traj, rho0, om = self.trajectory(2, state_by_name("bell-b", 2))
         states = traj.states.copy()
         states[7] *= 1.1
         with pytest.raises(ValueError, match="unit-trace.*t=0.7"):
@@ -169,14 +169,14 @@ class TestFidelitySeries:
 
     def test_partial_sector_rejected(self):
         # the sector count is read from the flat length, which must hold whole D x D blocks
-        traj, rho0, om = self.trajectory(2, make_bell("b"))
+        traj, rho0, om = self.trajectory(2, state_by_name("bell-b", 2))
         with pytest.raises(ValueError, match="flat length 47 is not a whole number of 4x4 sectors"):
             fidelity_series(traj.times, traj.states[:, :-1], rho0, om)
         with pytest.raises(ValueError, match="flat length 0 is not"):
             qubit_dm_from_flat(np.zeros(0), 4)
 
     def test_non_real_overlap_rejected(self):
-        traj, rho0, om = self.trajectory(2, make_bell("b"))
+        traj, rho0, om = self.trajectory(2, state_by_name("bell-b", 2))
         states = traj.states.copy()
         states[0, 3] += 0.5j  # rho_a[0, 3] only: no longer hermitian, F(0) gains -0.25j
         with pytest.raises(ValueError, match=r"non-real value \(\S+-0\.2\d*j\) at t=0;"):
@@ -187,7 +187,7 @@ class TestUnitaryLimit:
     def test_decoupled_detector_preserves_purity_and_fidelity(self):
         p = ModelParams.uniform(2, zeta=0.0)
         g = reduce_spin_symmetric(assemble(p))
-        amps = make_bell("b")
+        amps = state_by_name("bell-b", 2)
         v0 = to_density(amps).flatten(SECTORS_REDUCED)
         traj = evolve_rk4(g, v0, 20.0, 1e-3, 1.0)
         rho0 = np.outer(amps, amps.conj())

@@ -320,9 +320,9 @@ class TestCommands:
         assert line.startswith("Error: dephasing rate must be finite and non-negative")
 
     def test_baseline_custom_state_sets_n_qubits(self):
-        from qdfsim.states import make_df4
+        from qdfsim.states import state_by_name
 
-        spec = "custom:" + ",".join(repr(float(a.real)) for a in make_df4("psi1"))
+        spec = "custom:" + ",".join(repr(float(a.real)) for a in state_by_name("psi1", 4))
         args = ["--gamma-d", "0.3", "--t-end", "2.0"]
         custom = CliRunner().invoke(main, ["baseline", "--state", spec, *args])
         named = CliRunner().invoke(main, ["baseline", "--state", "psi1", *args])

@@ -27,7 +27,7 @@ from qdfsim.liouvillian import (
     reduce_spin_symmetric,
 )
 from qdfsim.model import ModelParams, apply_scenario
-from qdfsim.states import make_bell, make_df4, parse_custom, to_density
+from qdfsim.states import DF4_NAMES, parse_custom, state_by_name, to_density
 
 from conftest import complex_rk4, eig_propagate
 
@@ -35,7 +35,7 @@ from conftest import complex_rk4, eig_propagate
 def bell_setup(zeta=0.2):
     p = ModelParams.uniform(2, zeta=zeta)
     g = reduce_spin_symmetric(assemble(p))
-    amps = make_bell("d")
+    amps = state_by_name("bell-d", 2)
     v0 = to_density(amps).flatten(SECTORS_REDUCED)
     return p, g, amps, v0
 
@@ -43,7 +43,7 @@ def bell_setup(zeta=0.2):
 class TestSampling:
     def test_zero_horizon_returns_initial(self):
         _, g, _, v0 = bell_setup()
-        traj = evolve_rk4(g, v0, 0.0, 1e-3)
+        traj = evolve_rk4(g, v0, 0.0, 1e-3, 1e-3)
         assert traj.times.tolist() == [0.0]
         assert np.array_equal(traj.states[0], v0)
 
@@ -56,11 +56,11 @@ class TestSampling:
     def test_grid_validation(self):
         _, g, _, v0 = bell_setup()
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0, 1.0, dt=0.0)
+            evolve_rk4(g, v0, 1.0, dt=0.0, sample_interval=1.0)
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0, 1.0, dt=-1e-3)
+            evolve_rk4(g, v0, 1.0, dt=-1e-3, sample_interval=1.0)
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0, -1.0, dt=1e-3)
+            evolve_rk4(g, v0, -1.0, dt=1e-3, sample_interval=1.0)
         with pytest.raises(ValueError):
             evolve_rk4(g, v0, 1.0, dt=0.1, sample_interval=0.25)
         with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ class TestSampling:
     def test_dimension_mismatch(self):
         _, g, _, v0 = bell_setup()
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0[:-1], 1.0, 1e-3)
+            evolve_rk4(g, v0[:-1], 1.0, 1e-3, 1.0)
 
 
 class TestAgainstClosedForm:
@@ -143,7 +143,7 @@ class TestInternalRoutes:
 
     def test_batch_matches_single_columns(self):
         _, g, _, v0 = bell_setup()
-        w0 = to_density(make_bell("b")).flatten(SECTORS_REDUCED)
+        w0 = to_density(state_by_name("bell-b", 2)).flatten(SECTORS_REDUCED)
         batch = evolve_rk4(g, np.stack([v0, w0], axis=1), 5.0, 1e-3, 1.0)
         single_v = evolve_rk4(g, v0, 5.0, 1e-3, 1.0)
         single_w = evolve_rk4(g, w0, 5.0, 1e-3, 1.0)
@@ -210,7 +210,7 @@ class TestRealForm:
 
     def test_rk4_matches_expm_four_qubits(self):
         g = n4_generator()
-        v0 = to_density(make_df4("psi2")).flatten(SECTORS_REDUCED)
+        v0 = to_density(state_by_name("psi2", 4)).flatten(SECTORS_REDUCED)
         rk4 = evolve_rk4(g, v0, 50.0, 1e-3, sample_interval=50.0).states[-1]
         ref = evolve_expm(g, v0, 50.0)
         assert np.abs(rk4 - ref).max() < 1e-8
@@ -271,7 +271,7 @@ class TestKrylovRoute:
         p = apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05)
         g = reduce_spin_symmetric(assemble(p))
         v0 = np.stack(
-            [to_density(make_df4(s)).flatten(SECTORS_REDUCED) for s in ("psi1", "psi2", "psi3")],
+            [to_density(state_by_name(s, 4)).flatten(SECTORS_REDUCED) for s in DF4_NAMES],
             axis=1,
         )
         a = _evolve_krylov(g, v0, 500, 100, 1e-3)
@@ -396,7 +396,7 @@ class TestKrylovRoute:
         g = n4_generator()
         assert g.dim == integrator._KRYLOV_MIN_DIM
         self._forbid(monkeypatch, "_evolve_propagator", "_rk4_step_matrix", "_evolve_stepwise")
-        v0 = to_density(make_df4("psi2")).flatten(SECTORS_REDUCED)
+        v0 = to_density(state_by_name("psi2", 4)).flatten(SECTORS_REDUCED)
         traj = evolve_rk4(g, v0, t_end, 1e-3, 0.5)
         assert traj.states.shape == (round(t_end / 0.5) + 1, g.dim)
         assert np.isfinite(traj.states).all()
@@ -427,7 +427,7 @@ class TestArnoldi:
     @pytest.mark.parametrize("n", [4, 5])
     def test_fresh_basis_is_orthonormal(self, n):
         if n == 4:
-            g, v0 = n4_generator(), to_density(make_df4("psi2")).flatten(SECTORS_REDUCED)
+            g, v0 = n4_generator(), to_density(state_by_name("psi2", 4)).flatten(SECTORS_REDUCED)
         else:
             g, v0 = n5_setup()
         rf = real_form(g)

@@ -17,7 +17,7 @@ from qdfsim.liouvillian import (
     trace_violation,
 )
 from qdfsim.model import ModelParams, apply_scenario
-from qdfsim.states import make_bell, make_df4, to_density
+from qdfsim.states import state_by_name, to_density
 
 from conftest import dense_hamiltonian, flat_index, flip_index
 
@@ -101,7 +101,7 @@ class TestDimensions:
 
 class TestSectorDM:
     def test_flatten_roundtrip_full(self):
-        sdm = to_density(make_bell("c"))
+        sdm = to_density(state_by_name("bell-c", 2))
         back = sdm.flatten().reshape(len(SECTORS_FULL), 4, 4)
         for a, b in zip((sdm.rho_a, sdm.rho_b_up, sdm.rho_b_dn, sdm.rho_c), back):
             assert np.array_equal(a, b)
@@ -222,14 +222,14 @@ class TestAssembly:
 class TestEquationTranscription:
     def test_dense_generator_matches_independent_transcription(self):
         # rebuild the full equations entry by entry from the rate table and
-        # config_energy only, structured differently from assemble()
-        from qdfsim.model import config_energy
+        # config_energies only, structured differently from assemble()
+        from qdfsim.model import config_energies
         from qdfsim.rates import rate_table
 
         p = nonuniform_params()
         n, d = p.n_qubits, 2**p.n_qubits
         t = rate_table(p)
-        energy = [config_energy(z, p) for z in range(d)]
+        energy = config_energies(p)
         dim = 4 * d * d
         ref = np.zeros((dim, dim), complex)
 

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdfsim.model import CASE_AFFECTED, ModelParams, apply_scenario, config_energy
+from qdfsim.model import (
+    CASE_AFFECTED,
+    ModelParams,
+    apply_scenario,
+    config_energies,
+    config_spins,
+)
 
 from conftest import dense_hamiltonian, flip_index
 
@@ -45,55 +51,75 @@ class TestFlip:
             flip_index(0, 5, 4)
 
 
+class TestConfigSpins:
+    def test_spin_is_bit(self):
+        # qubit i up <=> bit i-1 set: 0b0110 has qubits 2 and 3 up
+        s = config_spins(4)
+        assert s.shape == (16, 4)
+        assert s[0b0110].tolist() == [-1.0, 1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_total_spin(self, n):
+        # oracle: the total spin as twice the up count minus N, from the bits
+        total = [2 * bin(z).count("1") - n for z in range(2**n)]
+        assert config_spins(n).sum(axis=1).tolist() == total
+
+
 class TestConfigEnergy:
     def test_all_zero_parameters(self):
         p = ModelParams.uniform(4, zeta=0.2)
-        assert all(config_energy(z, p) == 0.0 for z in range(16))
+        assert np.all(config_energies(p) == 0.0)
 
     def test_two_qubit_example(self):
         p = ModelParams.uniform(2, epsilon=[1.0, 2.0], j_coupling=[0.5])
         z = 0b01  # qubit 1 up, qubit 2 down
-        assert config_energy(z, p) == pytest.approx(-1.5, abs=1e-15)
+        assert config_energies(p)[z] == pytest.approx(-1.5, abs=1e-15)
 
     def test_spin_is_bit(self):
         # qubit i up <=> bit i-1 set: 0b1010 has qubits 2 and 4 up
         p = ModelParams.uniform(4, epsilon=[1.0, 2.0, 4.0, 8.0])
-        assert config_energy(0b1010, p) == -1.0 + 2.0 - 4.0 + 8.0
+        assert config_energies(p)[0b1010] == -1.0 + 2.0 - 4.0 + 8.0
 
     def test_uniform_coupling_all_down(self):
         j = 0.7
         p = ModelParams.uniform(4, j_coupling=[j, j, j])
-        assert config_energy(0, p) == pytest.approx(3 * j, abs=1e-15)
+        assert config_energies(p)[0] == pytest.approx(3 * j, abs=1e-15)
 
     def test_matches_hamiltonian_diagonal(self, rng):
-        # oracle: brute-force 16-dim H_qb; its diagonal must equal config_energy
+        # oracle: brute-force 16-dim H_qb; its diagonal must equal config_energies
         eps = rng.normal(size=4)
         jc = rng.normal(size=3)
         p = ModelParams.uniform(4, epsilon=eps, j_coupling=jc, zeta=0.1)
         h = dense_hamiltonian(p.omega, eps, jc)
-        for z in range(16):
-            assert config_energy(z, p) == pytest.approx(h[z, z].real, abs=1e-12)
+        assert config_energies(p) == pytest.approx(h.diagonal().real, abs=1e-12)
+
+    def test_matches_per_configuration_sums(self, rng):
+        # reference: one configuration at a time, bias terms then couplings,
+        # each summed over ascending i and added last; equal bit for bit
+        for n in (2, 3, 5, 8):
+            eps, jc = rng.normal(size=n), rng.normal(size=n - 1)
+            p = ModelParams.uniform(n, epsilon=eps, j_coupling=jc)
+            want = []
+            for z in range(2**n):
+                s = [1.0 if (z >> i) & 1 else -1.0 for i in range(n)]
+                e = sum(p.epsilon[i] * s[i] for i in range(n))
+                e += sum(p.j_coupling[i] * s[i] * s[i + 1] for i in range(n - 1))
+                want.append(e)
+            assert np.array_equal(config_energies(p), want)
 
     @given(
         jc=st.tuples(*[st.floats(-3, 3) for _ in range(3)]),
         z=st.integers(0, 15),
     )
     def test_global_flip_invariance_without_bias(self, jc, z):
-        p = ModelParams.uniform(4, j_coupling=jc)
-        assert config_energy(z, p) == pytest.approx(config_energy(z ^ 0xF, p), abs=1e-12)
+        e = config_energies(ModelParams.uniform(4, j_coupling=jc))
+        assert e[z] == pytest.approx(e[z ^ 0xF], abs=1e-12)
 
     def test_global_flip_negates_bias_terms(self):
         eps = (0.3, -0.2, 0.5, 0.1)
-        p_eps = ModelParams.uniform(4, epsilon=eps)
+        e = config_energies(ModelParams.uniform(4, epsilon=eps))
         for z in range(16):
-            assert config_energy(z, p_eps) == pytest.approx(
-                -config_energy(z ^ 0xF, p_eps), abs=1e-12
-            )
-
-    def test_index_range(self):
-        p = ModelParams.uniform(2)
-        with pytest.raises(ValueError):
-            config_energy(4, p)
+            assert e[z] == pytest.approx(-e[z ^ 0xF], abs=1e-12)
 
 
 class TestModelParams:

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from qdfsim.states import (
-    BELL_NAMES,
     DF4_NAMES,
-    make_bell,
-    make_df4,
     parse_custom,
     qubit_count,
     state_by_name,
@@ -24,7 +21,7 @@ LABEL_ORDER = (0, 2, 1, 3)
 
 class TestDF4:
     def test_psi1_coefficients(self):
-        v = make_df4("psi1")
+        v = state_by_name("psi1", 4)
         assert v[idx("0101")] == pytest.approx(0.5)
         assert v[idx("0110")] == pytest.approx(-0.5)
         assert v[idx("1001")] == pytest.approx(-0.5)
@@ -37,17 +34,17 @@ class TestDF4:
         singlet[idx("01")] = 1 / np.sqrt(2)
         singlet[idx("10")] = -1 / np.sqrt(2)
         product = np.kron(singlet, singlet)  # qubits (1,2) innermost
-        assert np.allclose(make_df4("psi1"), product, atol=1e-15)
+        assert np.allclose(state_by_name("psi1", 4), product, atol=1e-15)
 
     def test_psi2_coefficients(self):
-        v = make_df4("psi2")
+        v = state_by_name("psi2", 4)
         assert v[idx("0011")] == pytest.approx(1 / np.sqrt(3))
         assert v[idx("1100")] == pytest.approx(1 / np.sqrt(3))
         for bits in ("0101", "0110", "1001", "1010"):
             assert v[idx(bits)] == pytest.approx(-0.5 / np.sqrt(3))
 
     def test_psi3_relabeled_psi1(self):
-        v = make_df4("psi3")
+        v = state_by_name("psi3", 4)
         assert v[idx("0101")] == pytest.approx(0.5)
         assert v[idx("0011")] == pytest.approx(-0.5)
         assert v[idx("1100")] == pytest.approx(-0.5)
@@ -55,58 +52,58 @@ class TestDF4:
 
     def test_norms_and_overlaps(self):
         # oracle: plain 16-dim vector arithmetic
-        p1, p2, p3 = (make_df4(k) for k in ("psi1", "psi2", "psi3"))
+        p1, p2, p3 = (state_by_name(k, 4) for k in ("psi1", "psi2", "psi3"))
         for v in (p1, p2, p3):
             assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
         assert np.vdot(p1, p2) == pytest.approx(0.0, abs=1e-15)
         assert np.vdot(p1, p3).real == pytest.approx(0.5, abs=1e-15)
 
     def test_overlap_is_deterministic(self):
-        a = np.vdot(make_df4("psi1"), make_df4("psi3"))
-        b = np.vdot(make_df4("psi1"), make_df4("psi3"))
+        a = np.vdot(state_by_name("psi1", 4), state_by_name("psi3", 4))
+        b = np.vdot(state_by_name("psi1", 4), state_by_name("psi3", 4))
         assert a == b
 
     @pytest.mark.parametrize("name", ["psi1", "psi2", "psi3"])
     def test_total_sigma_z_annihilates(self, name):
-        v = make_df4(name)
+        v = state_by_name(name, 4)
         total_sz = np.array([2 * bin(z).count("1") - 4 for z in range(16)])
         assert np.all(total_sz * v == 0.0)
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
-            make_df4("psi4")
+            state_by_name("psi4", 4)
 
 
 class TestBell:
     def test_bell_b_amplitudes_in_label_order(self):
-        v = make_bell("b")
+        v = state_by_name("bell-b", 2)
         over_labels = [v[i] for i in LABEL_ORDER]
         assert over_labels == pytest.approx([1 / np.sqrt(2), 0, 0, -1 / np.sqrt(2)])
 
     def test_bell_c_amplitudes_in_label_order(self):
-        v = make_bell("c")
+        v = state_by_name("bell-c", 2)
         over_labels = [v[i] for i in LABEL_ORDER]
         assert over_labels == pytest.approx([0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0])
 
     def test_pairwise_orthonormal(self):
-        vs = [make_bell(k) for k in "abcd"]
+        vs = [state_by_name(f"bell-{k}", 2) for k in "abcd"]
         gram = np.array([[np.vdot(u, v) for v in vs] for u in vs])
         assert np.allclose(gram, np.eye(4), atol=1e-15)
 
     def test_singlet_is_d(self):
-        v = make_bell("d")
+        v = state_by_name("bell-d", 2)
         total_sz = np.array([2 * bin(z).count("1") - 2 for z in range(4)])
         assert np.all(total_sz * v == 0.0)
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
-            make_bell("e")
+            state_by_name("bell-e", 2)
 
 
 class TestToDensity:
     def test_singlet_projector_entries(self):
         # |d> has support on B (index 2) and C (index 1)
-        sdm = to_density(make_bell("d"))
+        sdm = to_density(state_by_name("bell-d", 2))
         rho = sdm.rho_a
         assert rho[2, 2].real == pytest.approx(0.5)
         assert rho[1, 1].real == pytest.approx(0.5)
@@ -117,18 +114,18 @@ class TestToDensity:
         assert np.all(rho[mask] == 0.0)
 
     def test_island_starts_empty(self):
-        sdm = to_density(make_df4("psi1"))
+        sdm = to_density(state_by_name("psi1", 4))
         assert np.all(sdm.rho_b_up == 0.0)
         assert np.all(sdm.rho_b_dn == 0.0)
         assert np.all(sdm.rho_c == 0.0)
 
     def test_unit_trace(self):
-        sdm = to_density(make_df4("psi2"))
+        sdm = to_density(state_by_name("psi2", 4))
         total = sum(np.trace(m) for m in (sdm.rho_a, sdm.rho_b_up, sdm.rho_b_dn, sdm.rho_c))
         assert total.real == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_rank_one(self):
-        sdm = to_density(make_df4("psi3"))
+        sdm = to_density(state_by_name("psi3", 4))
         rho = sdm.rho_a
         assert np.allclose(rho, rho.conj().T, atol=1e-15)
         evals = np.linalg.eigvalsh(rho)
@@ -150,8 +147,16 @@ class TestToDensity:
 
 class TestStateByName:
     def test_dispatch(self):
-        assert np.allclose(state_by_name("psi1", 4), make_df4("psi1"))
-        assert np.allclose(state_by_name("bell-d", 2), make_bell("d"))
+        # oracle: the vectors written out by configuration index
+        psi1 = np.zeros(16, complex)
+        psi1[[idx("0101"), idx("1010")]] = 0.5
+        psi1[[idx("0110"), idx("1001")]] = -0.5
+        singlet = np.zeros(4, complex)
+        singlet[[idx("01"), idx("10")]] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        for name, n, want in (("psi1", 4, psi1), ("bell-d", 2, singlet)):
+            got = state_by_name(name, n)
+            assert got.dtype == np.complex128
+            assert np.allclose(got, want, atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -206,10 +211,10 @@ class TestQubitCount:
     def test_named_states_from_their_tables(self):
         for name in DF4_NAMES:
             assert qubit_count(name) == 4
-            assert len(make_df4(name)) == 2 ** qubit_count(name)
-        for name in BELL_NAMES:
+            assert len(state_by_name(name, 4)) == 2 ** qubit_count(name)
+        for name in ("bell-a", "bell-b", "bell-c", "bell-d"):
             assert qubit_count(name) == 2
-            assert len(make_bell(name)) == 2 ** qubit_count(name)
+            assert len(state_by_name(name, 2)) == 2 ** qubit_count(name)
 
     @pytest.mark.parametrize("count, n", [(2, 1), (4, 2), (32, 5)])
     def test_custom_from_amplitude_count(self, count, n):
