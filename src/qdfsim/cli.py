@@ -210,29 +210,19 @@ def _first_breach(
     return idx[0], f"{name}={values[idx]:.6g} at t={times[idx[0]]:g}"
 
 
-# Peak memory of building the run's generator (assemble, spin reduction and
-# real_form) per full-generator entry, rounded up: measured 91 B at N = 8 and
-# 126 B at N = 5.
-_BUILD_BYTES_PER_ENTRY = 128
-# Largest generator build a run may take, in bytes.
-_MAX_BUILD_BYTES = 2 * 2**30
+# Largest qubit count a run may build.  The full generator has at most
+# 4 * 4^N * (2N + 3) entries (each row: its diagonal, 2N qubit flips and two
+# rate gains), and building it (assemble, spin reduction and real_form) peaks
+# at about 128 B per entry (measured 91 B at N = 8 and 126 B at N = 5): about
+# 0.6 GiB at N = 8 and 2.7 GiB at N = 9, so N = 8 is the largest under 2 GiB.
+_MAX_QUBITS = 8
 
 
 def _check_generator_size(n_qubits: int) -> None:
-    """Refuse a generator whose build would exceed ``_MAX_BUILD_BYTES``.
-
-    Each row of the full generator holds at most its diagonal, 2N qubit flips
-    and two rate gains, so it has at most ``4 * 4^N * (2N + 3)`` entries.
-    """
-    try:
-        entries = 4 * (2 * n_qubits + 3) * 4.0**n_qubits
-    except OverflowError:
-        entries = math.inf
-    size = entries * _BUILD_BYTES_PER_ENTRY
-    if size > _MAX_BUILD_BYTES:
+    """Refuse, before anything is built, more than ``_MAX_QUBITS`` qubits."""
+    if n_qubits > _MAX_QUBITS:
         raise ConfigError(
-            f"the generator at n_qubits={n_qubits} has up to {entries:.3g} entries and would take "
-            f"about {size / 2**30:.3g} GiB to build, more than {_MAX_BUILD_BYTES / 2**30:g} GiB"
+            f"n_qubits: at most {_MAX_QUBITS} qubits fit the 2 GiB generator build, got {n_qubits}"
         )
 
 
@@ -247,8 +237,8 @@ def run_states(
     earliest sample of any state that breaks a bound, checking at each sample
     the trace error, then the sector populations, then F, so an unstable run
     stops at its first bad block and the sample named does not depend on the
-    block size.  A run whose generator build would exceed
-    ``_MAX_BUILD_BYTES`` is refused before anything is built.
+    block size.  A run of more than ``_MAX_QUBITS`` qubits is refused before
+    anything is built.
     """
     _check_generator_size(cfg.n_qubits)
     base, params = config_params(cfg)

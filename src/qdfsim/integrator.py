@@ -45,9 +45,8 @@ and S^-1 the factors 1 and +-i, so ``S^-1 S = I`` bit for bit.  Because
 on ``vec(rho)``; real products cost a quarter of the flops of complex ones
 and hold half the memory.
 
-* Any complex input is exact: the real and imaginary parts of ``S v`` are
-  evolved as separate real columns; the imaginary ones are left out when
-  they are exactly zero, as they are for hermitian blocks.
+* Inputs are stacks of hermitian sector blocks, whose ``S v`` is exactly
+  real; any other input raises ValueError.
 * ``L_r`` is formed once per evolution and its relative imaginary residual
   checked against :data:`REAL_FORM_TOL`; a generator that breaks
   hermiticity raises ValueError, its imaginary part is never dropped.
@@ -66,7 +65,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from .liouvillian import Generator
@@ -163,13 +161,11 @@ def _checked_real_form(g: Generator) -> RealForm:
 
 
 def _to_real(rf: RealForm, v0: np.ndarray) -> np.ndarray:
-    """Real columns of S v0, shape (dim, 2k): the real parts, then the
-    imaginary parts.  Those are exactly zero for hermitian blocks and are
-    then left out, giving shape (dim, k)."""
+    """Real columns of S v0, shape (dim, k), for k stacks of hermitian blocks."""
     x = rf.s @ v0.reshape(v0.shape[0], -1)
-    if not x.imag.any():
-        return np.ascontiguousarray(x.real)
-    return np.concatenate([x.real, x.imag], axis=1)
+    if x.imag.any():
+        raise ValueError("initial state breaks hermiticity: S v0 is not real")
+    return np.ascontiguousarray(x.real)
 
 
 def _sample_grid(t_end: float, dt: float, sample_interval: float) -> tuple[int, int]:
@@ -219,17 +215,20 @@ def _samples(
     x of v0, each checked finite and mapped back with S^-1.  With no sink all
     are returned; with one they go to ``sink(times, states)`` in consecutive
     blocks of at most ``_BLOCK_BYTES`` and at least one sample, in one buffer
-    that the next block overwrites."""
+    that the next block overwrites.  The samples before a non-finite one go
+    to the sink before the FloatingPointError is raised."""
     times = np.arange(n_intervals + 1) * (steps_per_sample * dt)
     size = n_intervals + 1 if sink is None else max(1, _BLOCK_BYTES // (16 * v0.size))
     block = np.empty((min(size, n_intervals + 1),) + v0.shape, dtype=np.complex128)
     block[0] = v0
     x = _to_real(rf, v0)
-    k, start = v0.size // v0.shape[0], 0
+    start = 0
     for i in range(1, n_intervals + 1):
         x = advance(x)
         finite = np.isfinite(x)
         if not finite.all():
+            if sink is not None:
+                sink(times[start:i], block[: i - start])
             peak = float(np.abs(x[finite]).max()) if finite.any() else float("nan")
             raise FloatingPointError(
                 f"integration produced a non-finite value at step {i * steps_per_sample}; "
@@ -238,8 +237,7 @@ def _samples(
         if i - start == len(block):
             sink(times[start:i], block)
             start = i
-        y = x if x.shape[1] == k else x[:, :k] + 1j * x[:, k:]  # Re + i Im
-        block[i - start] = (rf.s_inv @ y).reshape(v0.shape)
+        block[i - start] = (rf.s_inv @ x).reshape(v0.shape)
     if sink is None:
         return block
     sink(times[start:], block[: n_intervals + 1 - start])
@@ -456,4 +454,5 @@ def evolve_expm(g: Generator, v0: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"dimension mismatch: generator {g.dim}, state {v0.shape[0]}")
     if t == 0.0:
         return v0.copy()
-    return la.expm(g.csr.toarray() * t) @ v0
+    import scipy.linalg  # here, not at module level: no run calls the oracle
+    return scipy.linalg.expm(g.csr.toarray() * t) @ v0

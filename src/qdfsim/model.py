@@ -155,9 +155,7 @@ def apply_scenario(base: ModelParams, name: str, eta: float) -> ModelParams:
         epsilon[i] = eta * GAMMA0_UNIT  # absolute replacement, not a scaling
         gamma0[i] *= 1.0 - eta
         delta_gamma[i] *= 1.0 - eta
-        if gamma0[i] - abs(delta_gamma[i]) <= 0.0:
-            raise ValueError(f"scenario drives rates of qubit {k} non-positive")
-    return replace(
+    return replace(  # __post_init__ checks that the branch rates stay positive
         base,
         omega=tuple(omega),
         epsilon=tuple(epsilon),

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,8 +469,7 @@ class TestCommands:
         result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert result.exit_code == 2, result.output
         assert result.output.strip().splitlines() == [
-            "Error: the generator at n_qubits=10 has up to 9.65e+07 entries and would take "
-            "about 11.5 GiB to build, more than 2 GiB"
+            "Error: n_qubits: at most 8 qubits fit the 2 GiB generator build, got 10"
         ]
 
     def test_long_grid_admitted_at_six_qubits(self, tmp_path, monkeypatch):
@@ -492,7 +495,8 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["simulate", "dump-generator"])
     def test_generator_bound_exit_two(self, tmp_path, monkeypatch, command):
         # two samples keep 100 MB of trajectory, but the N = 10 generator
-        # (96.5M entries) is refused before the parameters or generator are built
+        # (96.5M entries, about 11.5 GiB to build) is refused before the
+        # parameters or generator are built
         from qdfsim import cli
 
         def never(*args, **kwargs):
@@ -508,8 +512,7 @@ class TestCommands:
         result = CliRunner().invoke(main, [command, "--config", str(cfg_file)])
         assert result.exit_code == 2, result.output
         assert result.output.strip().splitlines() == [
-            "Error: the generator at n_qubits=10 has up to 9.65e+07 entries and would take "
-            "about 11.5 GiB to build, more than 2 GiB"
+            "Error: n_qubits: at most 8 qubits fit the 2 GiB generator build, got 10"
         ]
 
     def test_generator_bound_admits_eight_qubits(self):
@@ -518,8 +521,11 @@ class TestCommands:
         for n in range(2, 9):
             _check_generator_size(n)
         for n in (9, 10, 10**6):
-            with pytest.raises(ConfigError, match=f"n_qubits={n} has up to"):
+            with pytest.raises(ConfigError) as refused:
                 _check_generator_size(n)
+            assert refused.value.message == (
+                f"n_qubits: at most 8 qubits fit the 2 GiB generator build, got {n}"
+            )
 
     def test_verify_passes_on_fresh_checkout(self):
         result = CliRunner().invoke(main, ["verify"])
@@ -589,6 +595,29 @@ class TestFigures:
         assert np.all(values[:, 1:] >= -1e-9)
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b", "fig4a", "fig4b"])
+def test_short_horizon_figure_bytes(name):
+    # CSV text of each figure at t_end 1.0, checked in; a change that moves
+    # these bytes on purpose regenerates the files and states its largest |dF|
+    from qdfsim.cli import run_eta_figure, run_time_figure
+
+    run = run_eta_figure if name.startswith("fig4") else run_time_figure
+    golden = Path(__file__).parent / "data" / f"{name}_t1.csv"
+    assert run(name, t_end=1.0) == golden.read_text()
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # only the evolve_expm oracle needs scipy.linalg; no run pays for its import
+    import qdfsim
+
+    env = {**os.environ, "PYTHONPATH": str(Path(qdfsim.__file__).parents[1])}
+    code = "import sys, qdfsim.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
 class TestSampleBlocks:
     """A run reduces its samples block by block as the integration writes
     them; where the blocks fall changes no output byte and no refusal."""
@@ -623,13 +652,24 @@ class TestSampleBlocks:
         assert cli.run_time_figure("fig3b", t_end=1.0) == one_block[1]
         assert max(lengths) == samples and sum(lengths) == 9 * 11
 
-    @pytest.mark.parametrize("samples", [3, 1], ids=["three_sample_blocks", "one_sample_blocks"])
-    def test_unstable_run_stops_in_a_later_block(self, tmp_path, monkeypatch, samples):
+    @pytest.mark.parametrize(
+        "samples, t_end",
+        [(3, 10), (1, 10), (3, 100), (1, 100)],
+        ids=[
+            "three_sample_blocks",
+            "one_sample_blocks",
+            "three_sample_blocks_t_end100",
+            "one_sample_blocks_t_end100",
+        ],
+    )
+    def test_unstable_run_stops_in_a_later_block(self, tmp_path, monkeypatch, samples, t_end):
         # pop_b leaves [0, 1] at sample 7 (t = 3.5), before the trace error
         # does; the gate names that sample whether it comes in the one block
-        # of the whole run, in the block of samples 6-8 or in a block of its own
+        # of the whole run, in the block of samples 6-8 or in a block of its
+        # own.  At t_end 100 the state overflows at step 358, inside the one
+        # block of the whole run: the samples before it reach the gate first.
         cfg_file = tmp_path / "unstable.json"
-        cfg_file.write_text('{"dt": 0.25, "sample_interval": 0.5, "t_end": 10}')
+        cfg_file.write_text(json.dumps({"dt": 0.25, "sample_interval": 0.5, "t_end": t_end}))
         breach = ["Error: dt=0.25 is unstable for this run: pop_b=-0.462867 at t=3.5"]
         one_block = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert one_block.output.strip().splitlines() == breach

@@ -195,13 +195,16 @@ class TestRealForm:
     @pytest.mark.parametrize("hermitian", [False, True], ids=["non_hermitian", "hermitian"])
     @pytest.mark.parametrize("route", [_evolve_stepwise, _evolve_propagator, _evolve_krylov])
     def test_routes_match_complex_oracle(self, route, hermitian, rng):
-        # a hermitian batch has real coordinates and is evolved without its
-        # (zero) imaginary columns
+        # a hermitian batch has real coordinates; any other input is refused
         _, g, _, _ = bell_setup(zeta=0.6)
         mats = rng.normal(size=(3, 4, 4, 3)) + 1j * rng.normal(size=(3, 4, 4, 3))
-        if hermitian:
-            mats = mats + mats.conj().transpose(0, 2, 1, 3)
-        v0 = mats.reshape(g.dim, 3)
+        if not hermitian:
+            v0 = mats.reshape(g.dim, 3)
+            for stack in (v0, v0[:, 1]):
+                with pytest.raises(ValueError, match="hermiticity"):
+                    route(g, stack, 4, 500, 1e-3)
+            return
+        v0 = (mats + mats.conj().transpose(0, 2, 1, 3)).reshape(g.dim, 3)
         ref = complex_rk4(g.csr, v0, 4, 500, 1e-3)
         assert np.abs(route(g, v0, 4, 500, 1e-3) - ref).max() <= 1e-12
         single = route(g, v0[:, 1], 4, 500, 1e-3)
