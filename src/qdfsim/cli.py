@@ -22,6 +22,7 @@ import numpy as np
 from . import analysis, baseline, states
 from .integrator import (
     REAL_FORM_TOL,
+    Collect,
     _evolve_krylov,
     _evolve_propagator,
     _evolve_stepwise,
@@ -248,11 +249,11 @@ def run_states(
         raise ConfigError(f"state: {exc}") from exc
     try:
         g = reduced_generator(params)
-    except ValueError as exc:  # the trace check, when rates dwarf its tolerance
+    except ValueError as exc:  # the trace or finite-entry check of the generator
         raise ConfigError(str(exc)) from exc
-    v0 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in amp_list], axis=1)
+    initial = [states.to_density(a) for a in amp_list]
+    v0 = np.stack([dm.flatten(SECTORS_REDUCED) for dm in initial], axis=1)
     d = 2**cfg.n_qubits
-    rho0s = [np.outer(amps, amps.conj()) for amps in amp_list]
     with np.errstate(over="ignore", invalid="ignore"):
         omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
     kept = [[] for _ in amp_list]  # (times, F, trace_err, pops) of each block, per state
@@ -267,8 +268,8 @@ def run_states(
         # populations break; at that sample those are named first
         end = min((b[0] for b in breaches if b), default=len(times))
         fids = [
-            analysis.fidelity_series(times[:end], f[:end], rho0, omega_prime)
-            for f, rho0 in zip(flats, rho0s)
+            analysis.fidelity_series(times[:end], f[:end], dm.rho_a, omega_prime)
+            for f, dm in zip(flats, initial)
         ]
         breaches += [_first_breach(times, "F", f, -np.inf, 1.0 + _GATE_TOL) for f in fids]
         found = [b for b in breaches if b]
@@ -438,28 +439,28 @@ def run_verify() -> list[Check]:
     g2 = built[2][2]
     rng = np.random.default_rng(7)  # a Hermitian matrix in each of the 3 reduced sectors
     mats = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    out = g2.apply((mats + mats.conj().transpose(0, 2, 1)).reshape(-1)).reshape(3, 4, 4)
+    out = (g2.csr @ (mats + mats.conj().transpose(0, 2, 1)).reshape(-1)).reshape(3, 4, 4)
     defect = float(np.abs(out - out.conj().transpose(0, 2, 1)).max())
     checks.append(Check("hermiticity_preservation_n2", defect, 1e-12))
 
     amps = states.state_by_name("bell-d", 2)
     v0 = states.to_density(amps).flatten(SECTORS_REDUCED)
-    rk4_final = evolve_rk4(g2, v0, 50.0, 1e-3, 50.0).states[-1]
+    rk4 = Collect()
+    evolve_rk4(g2, v0, 50.0, 1e-3, 50.0, rk4)
     expm_final = evolve_expm(g2, v0, 50.0)
     checks.append(
-        Check("oracle_equivalence_n2", float(np.abs(rk4_final - expm_final).max()), 1e-8)
+        Check("oracle_equivalence_n2", float(np.abs(rk4.states[-1] - expm_final).max()), 1e-8)
     )
 
     p4, full4, red4 = built[4]
     df4 = {name: states.state_by_name(name, 4) for name in states.DF4_NAMES}
-    amps4 = df4["psi2"]
-    sdm = states.to_density(amps4)
-    rho0 = np.outer(amps4, amps4.conj())
+    sdm = states.to_density(df4["psi2"])
     omega_prime = analysis.rotation_frequencies(p4)
-    tf = evolve_rk4(full4, sdm.flatten(), 5.0, 0.01, 0.5)
-    tr = evolve_rk4(red4, sdm.flatten(SECTORS_REDUCED), 5.0, 0.01, 0.5)
-    f_full = analysis.fidelity_series(tf.times, tf.states, rho0, omega_prime)
-    f_red = analysis.fidelity_series(tr.times, tr.states, rho0, omega_prime)
+    tf, tr = Collect(), Collect()
+    evolve_rk4(full4, sdm.flatten(), 5.0, 0.01, 0.5, tf)
+    evolve_rk4(red4, sdm.flatten(SECTORS_REDUCED), 5.0, 0.01, 0.5, tr)
+    f_full = analysis.fidelity_series(tf.times, tf.states, sdm.rho_a, omega_prime)
+    f_red = analysis.fidelity_series(tr.times, tr.states, sdm.rho_a, omega_prime)
     checks.append(
         Check("reduction_equivalence_n4", float(np.abs(f_full - f_red).max()), 1e-10)
     )
@@ -492,9 +493,11 @@ def run_verify() -> list[Check]:
     # samples of 100 steps
     g4 = reduced_generator(apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05))
     v4 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in df4.values()], axis=1)
-    krylov = _evolve_krylov(g4, v4, 3, 100, 1e-3)
-    dense = _evolve_propagator(g4, v4, 3, 100, 1e-3)
-    checks.append(Check("krylov_route_n4", float(np.abs(krylov - dense).max()), 1e-12))
+    krylov, dense = Collect(), Collect()
+    _evolve_krylov(g4, v4, 3, 100, 1e-3, krylov)
+    _evolve_propagator(g4, v4, 3, 100, 1e-3, dense)
+    defect = float(np.abs(krylov.states - dense.states).max())
+    checks.append(Check("krylov_route_n4", defect, 1e-12))
 
     # the route of every N >= 5 run: Krylov-projected RK4 against the plain
     # stepwise loop, over 2 samples of 100 steps
@@ -505,9 +508,11 @@ def run_verify() -> list[Check]:
     rng = np.random.default_rng(7)
     amps5 = rng.normal(size=32) + 1j * rng.normal(size=32)
     v5 = states.to_density(amps5 / np.linalg.norm(amps5)).flatten(SECTORS_REDUCED)
-    krylov = _evolve_krylov(g5, v5, 2, 100, 1e-3)
-    stepwise = _evolve_stepwise(g5, v5, 2, 100, 1e-3)
-    checks.append(Check("krylov_route_n5", float(np.abs(krylov - stepwise).max()), 1e-12))
+    krylov, stepwise = Collect(), Collect()
+    _evolve_krylov(g5, v5, 2, 100, 1e-3, krylov)
+    _evolve_stepwise(g5, v5, 2, 100, 1e-3, stepwise)
+    defect = float(np.abs(krylov.states - stepwise.states).max())
+    checks.append(Check("krylov_route_n5", defect, 1e-12))
 
     return checks
 
@@ -626,7 +631,7 @@ def dump_generator(config_path: str, dump_full: bool) -> None:
         g = assemble(params)
         if not dump_full:
             g = reduce_spin_symmetric(g)
-    except ValueError as exc:  # the trace check, when rates dwarf its tolerance
+    except ValueError as exc:  # the trace or finite-entry check of the generator
         raise ConfigError(str(exc)) from exc
     click.echo(g.dump(), nl=False)
 

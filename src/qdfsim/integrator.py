@@ -50,8 +50,8 @@ and hold half the memory.
 * ``L_r`` is formed once per evolution and its relative imaginary residual
   checked against :data:`REAL_FORM_TOL`; a generator that breaks
   hermiticity raises ValueError, its imaginary part is never dropped.
-* One writer maps samples back with S^-1 one at a time and keeps them all,
-  or hands them to a sink in blocks of at most :data:`_BLOCK_BYTES`.
+* One writer maps samples back with S^-1 one at a time and hands them to a
+  sink in blocks of at most :data:`_BLOCK_BYTES`; :class:`Collect` keeps them.
 
 The spectrum of the generator is set by rates and couplings of order one, so
 the step ``dt = 1e-3`` of every figure run resolves it with a wide margin; no
@@ -96,16 +96,12 @@ _BLOCK_BYTES = 32 * 2**20
 REAL_FORM_TOL = 1e-14
 
 
-@dataclass
-class Trajectory:
-    """Sampled states of one evolution.
+class Collect:
+    """A sink that keeps every sample: ``times`` (n,) and ``states`` (n, dim[, k])."""
 
-    ``states`` has shape (n_samples, dim) for a single initial vector or
-    (n_samples, dim, k) for a batch evolved under the same generator.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
+    def __call__(self, times: np.ndarray, block: np.ndarray) -> None:
+        self.times = np.concatenate([getattr(self, "times", times[:0]), times])
+        self.states = np.concatenate([getattr(self, "states", block[:0]), block])
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,15 +206,14 @@ def _rk4_step_matrix(l_r: sp.csr_matrix, dt: float) -> np.ndarray:
 
 def _samples(
     rf: RealForm, v0: np.ndarray, advance, n_intervals: int, steps_per_sample: int, dt: float, sink
-) -> np.ndarray | None:
+) -> None:
     """The samples of a route: v0, then ``x = advance(x)`` from the real columns
-    x of v0, each checked finite and mapped back with S^-1.  With no sink all
-    are returned; with one they go to ``sink(times, states)`` in consecutive
-    blocks of at most ``_BLOCK_BYTES`` and at least one sample, in one buffer
-    that the next block overwrites.  The samples before a non-finite one go
-    to the sink before the FloatingPointError is raised."""
+    x of v0, each checked finite, mapped back with S^-1 and handed to
+    ``sink(times, states)`` in consecutive blocks of at most ``_BLOCK_BYTES``
+    and at least one sample, in one buffer that the next block overwrites.
+    The samples before a non-finite one go to the sink before the FloatingPointError."""
     times = np.arange(n_intervals + 1) * (steps_per_sample * dt)
-    size = n_intervals + 1 if sink is None else max(1, _BLOCK_BYTES // (16 * v0.size))
+    size = max(1, _BLOCK_BYTES // (16 * v0.size))
     block = np.empty((min(size, n_intervals + 1),) + v0.shape, dtype=np.complex128)
     block[0] = v0
     x = _to_real(rf, v0)
@@ -227,8 +222,7 @@ def _samples(
         x = advance(x)
         finite = np.isfinite(x)
         if not finite.all():
-            if sink is not None:
-                sink(times[start:i], block[: i - start])
+            sink(times[start:i], block[: i - start])
             peak = float(np.abs(x[finite]).max()) if finite.any() else float("nan")
             raise FloatingPointError(
                 f"integration produced a non-finite value at step {i * steps_per_sample}; "
@@ -238,24 +232,22 @@ def _samples(
             sink(times[start:i], block)
             start = i
         block[i - start] = (rf.s_inv @ x).reshape(v0.shape)
-    if sink is None:
-        return block
     sink(times[start:], block[: n_intervals + 1 - start])
 
 
 def _evolve_propagator(
-    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink=None
-) -> np.ndarray | None:
+    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink
+) -> None:
     rf = _checked_real_form(g)
     # the one-step matrix is freed before the samples are written and reduced
     hop = np.linalg.matrix_power(_rk4_step_matrix(rf.l_r, dt), steps_per_sample)
     # as (k, dim) @ hop^T: BLAS handles a few rows faster than a few columns
-    return _samples(rf, v0, lambda x: (x.T @ hop.T).T, n_intervals, steps_per_sample, dt, sink)
+    _samples(rf, v0, lambda x: (x.T @ hop.T).T, n_intervals, steps_per_sample, dt, sink)
 
 
 def _evolve_stepwise(
-    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink=None
-) -> np.ndarray | None:
+    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink
+) -> None:
     rf = _checked_real_form(g)
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -269,7 +261,7 @@ def _evolve_stepwise(
             x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return x
 
-    return _samples(rf, v0, advance, n_intervals, steps_per_sample, dt, sink)
+    _samples(rf, v0, advance, n_intervals, steps_per_sample, dt, sink)
 
 
 def _rk4_power(h: np.ndarray, dt: float, m: int) -> np.ndarray:
@@ -387,8 +379,8 @@ class _KrylovWalk:
 
 
 def _evolve_krylov(
-    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink=None
-) -> np.ndarray | None:
+    g: Generator, v0: np.ndarray, n_intervals: int, steps_per_sample: int, dt: float, sink
+) -> None:
     """RK4 samples with each column walked in Krylov bases of L_r.
 
     One basis serves as many samples as its estimate allows (the dense output
@@ -406,7 +398,7 @@ def _evolve_krylov(
     unit = (steps_per_sample + pieces - 1) // pieces  # an even split of one sample
     walks = [_KrylovWalk(rf.l_r, x, dt, unit) for x in _to_real(rf, v0).T.copy()]
     advance = lambda _: np.stack([w.advance(steps_per_sample) for w in walks]).T  # noqa: E731
-    return _samples(rf, v0, advance, n_intervals, steps_per_sample, dt, sink)
+    _samples(rf, v0, advance, n_intervals, steps_per_sample, dt, sink)
 
 
 def evolve_rk4(
@@ -415,16 +407,16 @@ def evolve_rk4(
     t_end: float,
     dt: float,
     sample_interval: float,
-    sink=None,
-) -> Trajectory | None:
-    """Fixed-step RK4 trajectory sampled every ``sample_interval`` time units.
+    sink,
+) -> None:
+    """Fixed-step RK4 samples every ``sample_interval`` time units, handed to
+    ``sink`` in blocks (see :func:`_samples`).
 
     ``v0`` may be a single flat vector (dim,) or a batch (dim, k) sharing the
     generator.  The dimension and step count pick the route (see the module
     docstring); the routes realize the identical scheme and differ only by
     floating-point reassociation, and on the Krylov route by its projection
     error.  A generator that does not preserve hermiticity raises ValueError.
-    Given a ``sink``, the samples go to it in blocks (see :func:`_samples`).
     """
     v0 = np.asarray(v0, dtype=np.complex128)
     if v0.shape[0] != g.dim:
@@ -436,9 +428,7 @@ def evolve_rk4(
         run = _evolve_stepwise
     else:
         run = _evolve_propagator
-    states = run(g, v0, n_intervals, steps_per_sample, dt, sink)
-    if sink is None:
-        return Trajectory(np.arange(n_intervals + 1) * (steps_per_sample * dt), states)
+    run(g, v0, n_intervals, steps_per_sample, dt, sink)
 
 
 def evolve_expm(g: Generator, v0: np.ndarray, t: float) -> np.ndarray:

@@ -61,36 +61,23 @@ _TRACE_TOL = 1e-12
 
 @dataclass
 class SectorDM:
-    """Density matrix resolved over the four island charge sectors.
-
-    Physical states keep every matrix hermitian, the summed trace equal to
-    one, and diagonal entries real and non-negative (up to integrator
-    tolerance).
-    """
+    """A density matrix with an empty island: ``rho_a`` in sector a, every
+    other sector zero."""
 
     rho_a: np.ndarray
-    rho_b_up: np.ndarray
-    rho_b_dn: np.ndarray
-    rho_c: np.ndarray
 
     def __post_init__(self) -> None:
         shape = self.rho_a.shape
         d = shape[0]
         if shape != (d, d) or d & (d - 1):
-            raise ValueError(f"sector matrices must be square with power-of-two size, got {shape}")
-        for m in (self.rho_b_up, self.rho_b_dn, self.rho_c):
-            if m.shape != shape:
-                raise ValueError("all sector matrices must share one shape")
+            raise ValueError(f"rho_a must be square with power-of-two size, got {shape}")
 
     def flatten(self, sectors: tuple[str, ...] = SECTORS_FULL) -> np.ndarray:
         """Flat vector in the documented layout, full or spin-reduced."""
-        if sectors == SECTORS_FULL:
-            mats = (self.rho_a, self.rho_b_up, self.rho_b_dn, self.rho_c)
-        elif sectors == SECTORS_REDUCED:
-            mats = (self.rho_a, self.rho_b_up + self.rho_b_dn, self.rho_c)
-        else:
+        if sectors not in (SECTORS_FULL, SECTORS_REDUCED):
             raise ValueError(f"unknown sector layout {sectors}")
-        return np.concatenate([m.reshape(-1) for m in mats])
+        zeros = np.zeros((len(sectors) - 1) * self.rho_a.size, dtype=self.rho_a.dtype)
+        return np.concatenate([self.rho_a.reshape(-1), zeros])
 
 
 @dataclass(eq=False)
@@ -117,12 +104,6 @@ class Generator:
     def matrix(self) -> sp.csr_matrix:
         return self.csr
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Exact sparse product L @ v (row-wise, fixed summation order)."""
-        if v.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: generator {self.dim}, vector {v.shape[0]}")
-        return self.csr @ v
-
     def dump(self) -> str:
         """Debug text form: one line per entry, sorted lexicographically.
 
@@ -144,7 +125,7 @@ class Generator:
 
 def _canonical(n_qubits: int, sectors: tuple[str, ...], m: sp.spmatrix) -> Generator:
     """Generator on the canonical complex CSR form of m, checked for trace
-    preservation to ``_TRACE_TOL * max(1, max|L|)``."""
+    preservation to ``_TRACE_TOL * max(1, max|L|)`` and for finite entries."""
     csr = m.tocsr().astype(np.complex128)
     csr.eliminate_zeros()
     csr.sort_indices()
@@ -153,6 +134,8 @@ def _canonical(n_qubits: int, sectors: tuple[str, ...], m: sp.spmatrix) -> Gener
     bound = _TRACE_TOL * max(1.0, float(np.abs(csr.data).max(initial=0.0)))
     if not defect <= bound:  # a NaN defect (overflowing rates) is refused too
         raise ValueError(f"generator is not trace preserving: defect {defect:.3e} > {bound:.1e}")
+    if not np.isfinite(csr.data).all():  # an overflow the trace rows cancel
+        raise ValueError("generator has a non-finite entry")
     return g
 
 
@@ -172,6 +155,7 @@ def channels(p: ModelParams) -> list[tuple[str, tuple[str, ...], np.ndarray]]:
     return out + [("c", spins, t.gamma_R_primed)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _canonical refuses what overflows
 def assemble(p: ModelParams) -> Generator:
     """Assemble the full four-sector generator from the model parameters."""
     d = 2**p.n_qubits

@@ -112,6 +112,4 @@ def to_density(amps: np.ndarray) -> SectorDM:
     if abs(norm2 - 1.0) > _NORM_TOL:
         raise ValueError(f"state must be normalized: |amps|^2 = {norm2}")
     rho = np.outer(amps, amps.conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    zero = np.zeros_like(rho)
-    return SectorDM(rho, zero, zero.copy(), zero.copy())
+    return SectorDM(0.5 * (rho + rho.conj().T))

@@ -37,7 +37,7 @@ from conftest import dense_hamiltonian
 from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim.baseline import baseline_fidelity
 from qdfsim.cli import RunConfig, execute_run, run_eta_figure, run_time_figure, write_figure
-from qdfsim.integrator import evolve_expm, evolve_rk4
+from qdfsim.integrator import Collect, evolve_expm, evolve_rk4
 from qdfsim.liouvillian import SECTORS_REDUCED, assemble, reduce_spin_symmetric
 from qdfsim.model import ModelParams
 from qdfsim.rates import rate_table
@@ -63,7 +63,8 @@ def batch_evolve(n: int, names, zeta: float, t_end=50.0, dt=1e-3, si=0.1):
     g = reduce_spin_symmetric(assemble(p))
     amps = [state_by_name(s, n) for s in names]
     v0 = np.stack([to_density(a).flatten(SECTORS_REDUCED) for a in amps], axis=1)
-    traj = evolve_rk4(g, v0, t_end, dt, si)
+    traj = Collect()
+    evolve_rk4(g, v0, t_end, dt, si, traj)
     return p, amps, traj
 
 
@@ -94,8 +95,9 @@ def test_criterion_01_equation_count():
     sdm = to_density(amps)
     rho0 = np.outer(amps, amps.conj())
     om = rotation_frequencies(p)
-    tf = evolve_rk4(full, sdm.flatten(), 5.0, 0.01, 0.5)
-    tr = evolve_rk4(red, sdm.flatten(SECTORS_REDUCED), 5.0, 0.01, 0.5)
+    tf, tr = Collect(), Collect()
+    evolve_rk4(full, sdm.flatten(), 5.0, 0.01, 0.5, tf)
+    evolve_rk4(red, sdm.flatten(SECTORS_REDUCED), 5.0, 0.01, 0.5, tr)
     f_full = fidelity_series(tf.times, tf.states, rho0, om)
     f_red = fidelity_series(tr.times, tr.states, rho0, om)
     df = float(np.abs(f_full - f_red).max())
@@ -144,9 +146,10 @@ def test_criterion_03_oracle_equivalence():
         p = ModelParams.uniform(n, zeta=0.2)
         g = reduce_spin_symmetric(assemble(p))
         v0 = to_density(state_by_name(state, n)).flatten(SECTORS_REDUCED)
-        rk4 = evolve_rk4(g, v0, 50.0, 1e-3, sample_interval=50.0).states[-1]
+        rk4 = Collect()
+        evolve_rk4(g, v0, 50.0, 1e-3, 50.0, rk4)
         ref = evolve_expm(g, v0, 50.0)
-        diffs[n] = float(np.abs(rk4 - ref).max())
+        diffs[n] = float(np.abs(rk4.states[-1] - ref).max())
     elapsed = time.perf_counter() - t0
     ok = diffs[2] < 1e-8 and diffs[4] < 1e-6 and elapsed < 30.0
     report(
@@ -280,7 +283,7 @@ def test_criterion_08_fig4_eta0_below_one(fig4_csv):
     psi1 = state_by_name("psi1", 4)
     proj = np.outer(psi1, psi1.conj()).ravel()
     basis = np.kron(np.eye(len(SECTORS_REDUCED)), proj[:, None])
-    image = g.apply(basis)
+    image = g.csr @ basis
     closure = float(np.abs(image - basis @ (basis.conj().T @ image)).max())
     h_psi1 = float(np.abs(dense_hamiltonian(p.omega, p.epsilon, p.j_coupling) @ psi1).max())
     rates = rate_table(p)

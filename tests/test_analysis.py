@@ -8,7 +8,7 @@ from qdfsim.analysis import (
     rotating_frame,
     rotation_frequencies,
 )
-from qdfsim.integrator import evolve_rk4
+from qdfsim.integrator import Collect, evolve_rk4
 from qdfsim.liouvillian import SECTORS_REDUCED, assemble, reduce_spin_symmetric
 from qdfsim.model import ModelParams
 from qdfsim.states import state_by_name, to_density
@@ -16,26 +16,22 @@ from qdfsim.states import state_by_name, to_density
 from conftest import I2, SX, fidelity_series_loop, kron_chain
 
 
-def sector_sum(sdm) -> np.ndarray:
-    """Qubit DM of a SectorDM: the sum of its four island-sector matrices."""
-    return sdm.rho_a + sdm.rho_b_up + sdm.rho_b_dn + sdm.rho_c
-
-
 class TestReduce:
     def test_initial_state_is_projector(self):
         amps = state_by_name("psi2", 4)
-        assert np.allclose(sector_sum(to_density(amps)), np.outer(amps, amps.conj()), atol=1e-15)
+        assert np.allclose(to_density(amps).rho_a, np.outer(amps, amps.conj()), atol=1e-15)
 
     def test_from_flat_reduced_counts_b_once(self):
         sdm = to_density(state_by_name("bell-c", 2))
         flat = sdm.flatten(SECTORS_REDUCED)
-        assert np.allclose(qubit_dm_from_flat(flat, 4), sector_sum(sdm), atol=1e-15)
+        assert np.allclose(qubit_dm_from_flat(flat, 4), sdm.rho_a, atol=1e-15)
 
     def test_trace_one_along_trajectory(self):
         p = ModelParams.uniform(2, zeta=0.6)
         g = reduce_spin_symmetric(assemble(p))
         v0 = to_density(state_by_name("bell-b", 2)).flatten(SECTORS_REDUCED)
-        traj = evolve_rk4(g, v0, 10.0, 1e-3, 1.0)
+        traj = Collect()
+        evolve_rk4(g, v0, 10.0, 1e-3, 1.0, traj)
         for vec in traj.states:
             rq = qubit_dm_from_flat(vec, 4)
             assert np.trace(rq).real == pytest.approx(1.0, abs=1e-9)
@@ -147,7 +143,8 @@ class TestFidelitySeries:
     def trajectory(n, amps, zeta=0.6):
         p = ModelParams.uniform(n, zeta=zeta, epsilon=0.3)
         g = reduce_spin_symmetric(assemble(p))
-        traj = evolve_rk4(g, to_density(amps).flatten(SECTORS_REDUCED), 5.0, 1e-3, 0.1)
+        traj = Collect()
+        evolve_rk4(g, to_density(amps).flatten(SECTORS_REDUCED), 5.0, 1e-3, 0.1, traj)
         return traj, np.outer(amps, amps.conj()), rotation_frequencies(p)
 
     @pytest.mark.parametrize("n, name", [(2, "bell-b"), (4, "psi2")], ids=["n2", "n4"])
@@ -189,7 +186,8 @@ class TestUnitaryLimit:
         g = reduce_spin_symmetric(assemble(p))
         amps = state_by_name("bell-b", 2)
         v0 = to_density(amps).flatten(SECTORS_REDUCED)
-        traj = evolve_rk4(g, v0, 20.0, 1e-3, 1.0)
+        traj = Collect()
+        evolve_rk4(g, v0, 20.0, 1e-3, 1.0, traj)
         rho0 = np.outer(amps, amps.conj())
         fids = fidelity_series(traj.times, traj.states, rho0, rotation_frequencies(p))
         assert np.abs(fids - 1.0).max() < 1e-8

@@ -422,15 +422,29 @@ class TestCommands:
                 "Error: generator is not trace preserving: defect 2.400e-10 > 2.4e-12"
             ]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_dump_generator_overflowing_rates_exit_two(self, tmp_path):
         # rates that overflow to inf leave a NaN trace defect, which is refused
+        # without a RuntimeWarning (the suite turns warnings into errors)
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text('{"n_qubits": 2, "state": "bell-b", "primed_scale": 1e308}')
         result = CliRunner().invoke(main, ["dump-generator", "--config", str(cfg_file)])
         assert result.exit_code == 2
         (line,) = result.output.strip().splitlines()
         assert line.startswith("Error: generator is not trace preserving: defect nan")
+
+    @pytest.mark.parametrize("command", ["simulate", "dump-generator"])
+    @pytest.mark.parametrize(
+        "field", ['"epsilon": [1e308, 0]', '"j_coupling": [1e308]'], ids=["epsilon", "j_coupling"]
+    )
+    def test_overflowing_energies_exit_two(self, tmp_path, command, field):
+        # energy differences past the float range make -i(H x I - I x H)
+        # non-finite off the trace rows, where the trace check cannot see it;
+        # the generator is refused without a RuntimeWarning
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"n_qubits": 2, "state": "bell-b", ' + field + "}")
+        result = CliRunner().invoke(main, [command, "--config", str(cfg_file)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines() == ["Error: generator has a non-finite entry"]
 
     def test_dump_generator_large_rates(self, tmp_path):
         # rates of 1e4 leave a trace defect of 3.6e-12 on rounding, about
@@ -604,6 +618,15 @@ def test_short_horizon_figure_bytes(name):
     run = run_eta_figure if name.startswith("fig4") else run_time_figure
     golden = Path(__file__).parent / "data" / f"{name}_t1.csv"
     assert run(name, t_end=1.0) == golden.read_text()
+
+
+def test_krylov_run_bytes():
+    # a seeded N = 5 run of complex amplitudes with bias and coupling takes
+    # the Krylov route; its simulate CSV is checked in beside its config
+    data = Path(__file__).parent / "data"
+    result = CliRunner().invoke(main, ["simulate", "--config", str(data / "custom_n5_t1.json")])
+    assert result.exit_code == 0, result.output
+    assert result.output == (data / "custom_n5_t1.csv").read_text()
 
 
 def test_cli_import_leaves_out_scipy_linalg():

@@ -10,7 +10,7 @@ from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim import integrator
 from qdfsim.integrator import (
     REAL_FORM_TOL,
-    Trajectory,
+    Collect,
     _evolve_krylov,
     _evolve_propagator,
     _evolve_stepwise,
@@ -32,6 +32,13 @@ from qdfsim.states import DF4_NAMES, parse_custom, state_by_name, to_density
 from conftest import complex_rk4, eig_propagate
 
 
+def collect(run, *args, **kwargs) -> Collect:
+    """The samples that ``run`` (evolve_rk4 or a route) hands to its sink."""
+    out = Collect()
+    run(*args, **kwargs, sink=out)
+    return out
+
+
 def bell_setup(zeta=0.2):
     p = ModelParams.uniform(2, zeta=zeta)
     g = reduce_spin_symmetric(assemble(p))
@@ -43,30 +50,39 @@ def bell_setup(zeta=0.2):
 class TestSampling:
     def test_zero_horizon_returns_initial(self):
         _, g, _, v0 = bell_setup()
-        traj = evolve_rk4(g, v0, 0.0, 1e-3, 1e-3)
+        traj = collect(evolve_rk4, g, v0, 0.0, 1e-3, 1e-3)
         assert traj.times.tolist() == [0.0]
         assert np.array_equal(traj.states[0], v0)
 
     def test_sample_times(self):
         _, g, _, v0 = bell_setup()
-        traj = evolve_rk4(g, v0, 1.0, 1e-3, sample_interval=0.25)
+        traj = collect(evolve_rk4, g, v0, 1.0, 1e-3, sample_interval=0.25)
         assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
         assert traj.states.shape == (5, 48)
+
+    def test_collect_joins_blocks(self, monkeypatch):
+        # one-sample blocks arrive in one reused buffer; Collect keeps copies
+        _, g, _, v0 = bell_setup()
+        whole = collect(evolve_rk4, g, v0, 1.0, 1e-3, 0.25)
+        monkeypatch.setattr(integrator, "_BLOCK_BYTES", 1)
+        blocks = collect(evolve_rk4, g, v0, 1.0, 1e-3, 0.25)
+        assert np.array_equal(blocks.times, whole.times)
+        assert np.array_equal(blocks.states, whole.states)
 
     def test_grid_validation(self):
         _, g, _, v0 = bell_setup()
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0, 1.0, dt=0.0, sample_interval=1.0)
+            collect(evolve_rk4, g, v0, 1.0, dt=0.0, sample_interval=1.0)
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0, 1.0, dt=-1e-3, sample_interval=1.0)
+            collect(evolve_rk4, g, v0, 1.0, dt=-1e-3, sample_interval=1.0)
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0, -1.0, dt=1e-3, sample_interval=1.0)
+            collect(evolve_rk4, g, v0, -1.0, dt=1e-3, sample_interval=1.0)
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0, 1.0, dt=0.1, sample_interval=0.25)
+            collect(evolve_rk4, g, v0, 1.0, dt=0.1, sample_interval=0.25)
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0, 1.0, dt=1e-3, sample_interval=0.3)
+            collect(evolve_rk4, g, v0, 1.0, dt=1e-3, sample_interval=0.3)
         with pytest.raises(ValueError, match="1e\\+301 samples"):
-            evolve_rk4(g, v0, 1e300, dt=1e-3, sample_interval=0.1)
+            collect(evolve_rk4, g, v0, 1e300, dt=1e-3, sample_interval=0.1)
 
     def test_sample_count_bound(self):
         # checked before anything is allocated: 100,000 samples pass, 100,001 do not
@@ -84,7 +100,7 @@ class TestSampling:
     def test_dimension_mismatch(self):
         _, g, _, v0 = bell_setup()
         with pytest.raises(ValueError):
-            evolve_rk4(g, v0[:-1], 1.0, 1e-3, 1.0)
+            collect(evolve_rk4, g, v0[:-1], 1.0, 1e-3, 1.0)
 
 
 class TestAgainstClosedForm:
@@ -95,12 +111,11 @@ class TestAgainstClosedForm:
         g = assemble(p)
         rho_a = np.zeros((4, 4), complex)
         rho_a[0, 0] = 1.0
-        zero = np.zeros((4, 4), complex)
         from qdfsim.liouvillian import SectorDM
 
-        v0 = SectorDM(rho_a, zero, zero.copy(), zero.copy()).flatten()
+        v0 = SectorDM(rho_a).flatten()
         t = 2.5
-        traj = evolve_rk4(g, v0, t, 1e-3, sample_interval=t)
+        traj = collect(evolve_rk4, g, v0, t, 1e-3, sample_interval=t)
         final = traj.states[-1].reshape(4, 4, 4)
 
         gl = gr = 0.8  # both qubits down, zeta = 0.2
@@ -126,7 +141,7 @@ class TestAgainstClosedForm:
         om = rotation_frequencies(p)
         fids = []
         for dt in (1e-3, 5e-4):
-            traj = evolve_rk4(g, v0, 50.0, dt, sample_interval=50.0)
+            traj = collect(evolve_rk4, g, v0, 50.0, dt, sample_interval=50.0)
             fids.append(
                 fidelity_series(traj.times, traj.states, rho0, om)[-1]
             )
@@ -137,16 +152,16 @@ class TestInternalRoutes:
     def test_propagator_equals_stepwise(self):
         _, g, _, v0 = bell_setup()
         # t_end 2.0, dt 1e-3, sample interval 0.5: 4 intervals of 500 steps
-        a = _evolve_stepwise(g, v0, 4, 500, 1e-3)
-        b = _evolve_propagator(g, v0, 4, 500, 1e-3)
+        a = collect(_evolve_stepwise, g, v0, 4, 500, 1e-3).states
+        b = collect(_evolve_propagator, g, v0, 4, 500, 1e-3).states
         assert np.abs(a - b).max() < 1e-10
 
     def test_batch_matches_single_columns(self):
         _, g, _, v0 = bell_setup()
         w0 = to_density(state_by_name("bell-b", 2)).flatten(SECTORS_REDUCED)
-        batch = evolve_rk4(g, np.stack([v0, w0], axis=1), 5.0, 1e-3, 1.0)
-        single_v = evolve_rk4(g, v0, 5.0, 1e-3, 1.0)
-        single_w = evolve_rk4(g, w0, 5.0, 1e-3, 1.0)
+        batch = collect(evolve_rk4, g, np.stack([v0, w0], axis=1), 5.0, 1e-3, 1.0)
+        single_v = collect(evolve_rk4, g, v0, 5.0, 1e-3, 1.0)
+        single_w = collect(evolve_rk4, g, w0, 5.0, 1e-3, 1.0)
         assert np.abs(batch.states[:, :, 0] - single_v.states).max() < 1e-12
         assert np.abs(batch.states[:, :, 1] - single_w.states).max() < 1e-12
 
@@ -160,7 +175,7 @@ class TestInternalRoutes:
         v0 = np.zeros(g.dim, complex)
         v0[0] = 1.0
         with pytest.raises(FloatingPointError, match="step"):
-            _evolve_stepwise(g, v0, 10, 100, 1e-3)
+            collect(_evolve_stepwise, g, v0, 10, 100, 1e-3)
 
 
 def n4_generator():
@@ -202,19 +217,19 @@ class TestRealForm:
             v0 = mats.reshape(g.dim, 3)
             for stack in (v0, v0[:, 1]):
                 with pytest.raises(ValueError, match="hermiticity"):
-                    route(g, stack, 4, 500, 1e-3)
+                    collect(route, g, stack, 4, 500, 1e-3)
             return
         v0 = (mats + mats.conj().transpose(0, 2, 1, 3)).reshape(g.dim, 3)
         ref = complex_rk4(g.csr, v0, 4, 500, 1e-3)
-        assert np.abs(route(g, v0, 4, 500, 1e-3) - ref).max() <= 1e-12
-        single = route(g, v0[:, 1], 4, 500, 1e-3)
+        assert np.abs(collect(route, g, v0, 4, 500, 1e-3).states - ref).max() <= 1e-12
+        single = collect(route, g, v0[:, 1], 4, 500, 1e-3).states
         assert single.shape == (5, g.dim)
         assert np.abs(single - ref[:, :, 1]).max() <= 1e-12
 
     def test_rk4_matches_expm_four_qubits(self):
         g = n4_generator()
         v0 = to_density(state_by_name("psi2", 4)).flatten(SECTORS_REDUCED)
-        rk4 = evolve_rk4(g, v0, 50.0, 1e-3, sample_interval=50.0).states[-1]
+        rk4 = collect(evolve_rk4, g, v0, 50.0, 1e-3, sample_interval=50.0).states[-1]
         ref = evolve_expm(g, v0, 50.0)
         assert np.abs(rk4 - ref).max() < 1e-8
 
@@ -229,7 +244,7 @@ class TestRealForm:
         v0 = np.zeros(g.dim, complex)
         v0[0] = 1.0
         with pytest.raises(ValueError, match="hermiticity"):
-            evolve_rk4(g, v0, t_end, 1e-3, 0.5)
+            collect(evolve_rk4, g, v0, t_end, 1e-3, 0.5)
 
 
 def n5_setup():
@@ -257,15 +272,15 @@ class TestKrylovRoute:
         _, g, _, v0 = bell_setup(zeta=0.6)
         # one 50,000-step interval spans many chunks of the Krylov route
         assert 50.0 * np.abs(real_form(g).l_r).sum(axis=1).max() > 10 * integrator._KRYLOV_CHUNK_NORM
-        a = _evolve_krylov(g, v0, 1, 50_000, 1e-3)
-        b = _evolve_propagator(g, v0, 1, 50_000, 1e-3)
+        a = collect(_evolve_krylov, g, v0, 1, 50_000, 1e-3).states
+        b = collect(_evolve_propagator, g, v0, 1, 50_000, 1e-3).states
         assert np.abs(a - b).max() <= 1e-12
 
     def test_five_qubits_match_stepwise(self):
         g, v0 = n5_setup()
         assert g.dim == 3072
-        a = _evolve_krylov(g, v0, 20, 100, 1e-3)
-        b = _evolve_stepwise(g, v0, 20, 100, 1e-3)
+        a = collect(_evolve_krylov, g, v0, 20, 100, 1e-3).states
+        b = collect(_evolve_stepwise, g, v0, 20, 100, 1e-3).states
         assert np.abs(a - b).max() <= 1e-12
 
     def test_fig_grid_four_qubits_matches_propagator(self):
@@ -277,8 +292,8 @@ class TestKrylovRoute:
             [to_density(state_by_name(s, 4)).flatten(SECTORS_REDUCED) for s in DF4_NAMES],
             axis=1,
         )
-        a = _evolve_krylov(g, v0, 500, 100, 1e-3)
-        b = _evolve_propagator(g, v0, 500, 100, 1e-3)
+        a = collect(_evolve_krylov, g, v0, 500, 100, 1e-3).states
+        b = collect(_evolve_propagator, g, v0, 500, 100, 1e-3).states
         assert np.abs(a - b).max() <= 1e-11
 
     @staticmethod
@@ -295,7 +310,7 @@ class TestKrylovRoute:
         g, v0 = n5_setup()
         bases = []
         self._spy(monkeypatch, "_arnoldi", bases, lambda *args: "basis")
-        _evolve_krylov(g, v0, 20, 100, 1e-3)
+        collect(_evolve_krylov, g, v0, 20, 100, 1e-3)
         assert 1 <= len(bases) <= 4  # 2 at this writing
 
     def test_halving_when_one_sample_exceeds_the_basis(self, monkeypatch):
@@ -303,9 +318,9 @@ class TestKrylovRoute:
         monkeypatch.setattr(integrator, "_KRYLOV_MAX_BASIS", 8)
         pieces = []
         self._spy(monkeypatch, "_rk4_power", pieces, lambda h, dt, m: m)
-        a = _evolve_krylov(g, v0, 4, 500, 1e-3)
+        a = collect(_evolve_krylov, g, v0, 4, 500, 1e-3).states
         assert min(pieces) < 500
-        b = _evolve_propagator(g, v0, 4, 500, 1e-3)
+        b = collect(_evolve_propagator, g, v0, 4, 500, 1e-3).states
         assert np.abs(a - b).max() <= 1e-12
 
     def test_halving_is_local_to_the_failed_basis(self, monkeypatch):
@@ -321,7 +336,7 @@ class TestKrylovRoute:
 
         monkeypatch.setattr(integrator, "_arnoldi", arnoldi)
         self._spy(monkeypatch, "_rk4_power", log, lambda h, dt, m: m)
-        a = _evolve_krylov(g, v0, 20, 100, 1e-3)
+        a = collect(_evolve_krylov, g, v0, 20, 100, 1e-3).states
         pieces = []  # the pieces tried in each basis
         for event in log:
             if event == "basis":
@@ -331,7 +346,7 @@ class TestKrylovRoute:
         assert len(pieces) >= 3
         assert pieces[0][0] == 100 and min(pieces[0]) < 100
         assert all(max(tried) == 100 for tried in pieces[2:])
-        assert np.abs(a - _evolve_stepwise(g, v0, 20, 100, 1e-3)).max() <= 1e-12
+        assert np.abs(a - collect(_evolve_stepwise, g, v0, 20, 100, 1e-3).states).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -343,8 +358,8 @@ class TestKrylovRoute:
         # N = 2 spans the whole space (dim 48 < 60 vectors); N = 3 (dim 192)
         # walks real projections, long samples in several pieces
         g, v0 = _small_generators()[n]
-        a = _evolve_krylov(g, v0, n_intervals, steps_per_sample, 1e-3)
-        b = _evolve_propagator(g, v0, n_intervals, steps_per_sample, 1e-3)
+        a = collect(_evolve_krylov, g, v0, n_intervals, steps_per_sample, 1e-3).states
+        b = collect(_evolve_propagator, g, v0, n_intervals, steps_per_sample, 1e-3).states
         assert np.abs(a - b).max() <= 1e-11
 
     def test_zero_column_and_happy_breakdown(self):
@@ -354,7 +369,7 @@ class TestKrylovRoute:
         g = Generator(1, ("a", "b", "c"), m)
         v0 = np.zeros((g.dim, 2), complex)
         v0[0, 0] = 1.0
-        got = _evolve_krylov(g, v0, 3, 500, 1e-3)
+        got = collect(_evolve_krylov, g, v0, 3, 500, 1e-3).states
         assert not got[:, :, 1].any()
         assert np.abs(got - complex_rk4(g.csr, v0, 3, 500, 1e-3)).max() <= 1e-12
 
@@ -366,7 +381,7 @@ class TestKrylovRoute:
         v0 = np.zeros(g.dim, complex)
         v0[0] = 1.0
         with pytest.raises(FloatingPointError, match="step 200"):
-            _evolve_krylov(g, v0, 10, 100, 1e-3)
+            collect(_evolve_krylov, g, v0, 10, 100, 1e-3)
 
     def test_non_hermitian_generator_rejected(self):
         m = sp.csr_matrix(
@@ -376,7 +391,7 @@ class TestKrylovRoute:
         v0 = np.zeros(g.dim, complex)
         v0[0] = 1.0
         with pytest.raises(ValueError, match="hermiticity"):
-            _evolve_krylov(g, v0, 2, 100, 1e-3)
+            collect(_evolve_krylov, g, v0, 2, 100, 1e-3)
 
     @staticmethod
     def _forbid(monkeypatch, *names):
@@ -390,7 +405,7 @@ class TestKrylovRoute:
     def test_five_qubits_never_build_dense_matrices(self, monkeypatch, t_end, interval):
         g, v0 = n5_setup()
         self._forbid(monkeypatch, "_evolve_propagator", "_rk4_step_matrix", "_evolve_stepwise")
-        traj = evolve_rk4(g, v0, t_end, 1e-3, interval)
+        traj = collect(evolve_rk4, g, v0, t_end, 1e-3, interval)
         assert traj.states.shape == (round(t_end / interval) + 1, g.dim)
         assert np.isfinite(traj.states).all()
 
@@ -400,7 +415,7 @@ class TestKrylovRoute:
         assert g.dim == integrator._KRYLOV_MIN_DIM
         self._forbid(monkeypatch, "_evolve_propagator", "_rk4_step_matrix", "_evolve_stepwise")
         v0 = to_density(state_by_name("psi2", 4)).flatten(SECTORS_REDUCED)
-        traj = evolve_rk4(g, v0, t_end, 1e-3, 0.5)
+        traj = collect(evolve_rk4, g, v0, t_end, 1e-3, 0.5)
         assert traj.states.shape == (round(t_end / 0.5) + 1, g.dim)
         assert np.isfinite(traj.states).all()
 
@@ -409,7 +424,7 @@ class TestKrylovRoute:
         g, v0 = _small_generators()[3]
         assert g.dim < integrator._KRYLOV_MIN_DIM
         self._forbid(monkeypatch, "_evolve_krylov")
-        assert np.isfinite(evolve_rk4(g, v0, t_end, 1e-3, 0.5).states).all()
+        assert np.isfinite(collect(evolve_rk4, g, v0, t_end, 1e-3, 0.5).states).all()
 
 
 def _arnoldi_defects(l_r: sp.csr_matrix, x: np.ndarray, cap: int) -> tuple[int, float, float]:
@@ -472,7 +487,7 @@ class TestExpmOracle:
 
     def test_rk4_matches_expm_two_qubits(self):
         _, g, _, v0 = bell_setup()
-        rk4 = evolve_rk4(g, v0, 50.0, 1e-3, sample_interval=50.0).states[-1]
+        rk4 = collect(evolve_rk4, g, v0, 50.0, 1e-3, sample_interval=50.0).states[-1]
         ref = evolve_expm(g, v0, 50.0)
         assert np.abs(rk4 - ref).max() < 1e-8
 
@@ -486,8 +501,7 @@ class TestExpmOracle:
 class TestConservationAlongTrajectory:
     def test_trace_and_positivity(self):
         _, g, amps, v0 = bell_setup(zeta=0.6)
-        traj = evolve_rk4(g, v0, 50.0, 1e-3, 0.5)
-        assert isinstance(traj, Trajectory)
+        traj = collect(evolve_rk4, g, v0, 50.0, 1e-3, 0.5)
         mats = traj.states.reshape(-1, 3, 4, 4)
         pops = np.einsum("tsii->ts", mats).real
         total = pops.sum(axis=1)

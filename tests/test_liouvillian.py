@@ -103,25 +103,23 @@ class TestSectorDM:
     def test_flatten_roundtrip_full(self):
         sdm = to_density(state_by_name("bell-c", 2))
         back = sdm.flatten().reshape(len(SECTORS_FULL), 4, 4)
-        for a, b in zip((sdm.rho_a, sdm.rho_b_up, sdm.rho_b_dn, sdm.rho_c), back):
-            assert np.array_equal(a, b)
+        assert np.array_equal(back[0], sdm.rho_a)
+        assert not back[1:].any()
 
-    def test_reduced_roundtrip_splits_evenly(self):
+    def test_flatten_pads_each_layout_with_zeros(self):
         rng = np.random.default_rng(3)
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        sdm = SectorDM(np.zeros((4, 4), complex), 0.5 * b, 0.5 * b, np.zeros((4, 4), complex))
-        back = sdm.flatten(SECTORS_REDUCED).reshape(len(SECTORS_REDUCED), 4, 4)
-        # the reduced b block carries b_up + b_dn; its even split is each spin part
-        assert np.allclose(0.5 * back[1], sdm.rho_b_up, atol=1e-15)
-        assert np.allclose(0.5 * back[1], sdm.rho_b_dn, atol=1e-15)
-        assert np.array_equal(back[0], sdm.rho_a) and np.array_equal(back[2], sdm.rho_c)
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for sectors in (SECTORS_FULL, SECTORS_REDUCED):
+            flat = SectorDM(rho).flatten(sectors)
+            assert flat.dtype == np.complex128 and flat.shape == (16 * len(sectors),)
+            assert np.array_equal(flat[:16], rho.ravel()) and not flat[16:].any()
+        with pytest.raises(ValueError, match="unknown sector layout"):
+            SectorDM(rho).flatten(("a", "b"))
 
     def test_shape_validation(self):
-        z = np.zeros((4, 4), complex)
-        with pytest.raises(ValueError):
-            SectorDM(np.zeros((3, 3), complex), z, z, z)
-        with pytest.raises(ValueError):
-            SectorDM(z, z, z, np.zeros((2, 2), complex))
+        for bad in (np.zeros((3, 3), complex), np.zeros((4, 2), complex)):
+            with pytest.raises(ValueError, match="power-of-two"):
+                SectorDM(bad)
 
 
 class TestAssembly:
@@ -169,7 +167,7 @@ class TestAssembly:
         )
         g = assemble(p)  # raises internally if the trace identity breaks
         v = hermitian_stack(2, 4, seed=1)
-        assert stack_defect(g.apply(v), 2, 4) < 1e-11
+        assert stack_defect(g.csr @ v, 2, 4) < 1e-11
 
     @pytest.mark.parametrize("primed_scale", [1.0, 1e4])
     def test_trace_check_scales_with_rates(self, primed_scale):
@@ -195,13 +193,13 @@ class TestAssembly:
         for p in (nonuniform_params(), ModelParams.uniform(4, zeta=0.6)):
             g = assemble(p)
             v = hermitian_stack(p.n_qubits, len(SECTORS_FULL), seed=11)
-            assert stack_defect(g.apply(v), p.n_qubits, len(SECTORS_FULL)) < 1e-12
+            assert stack_defect(g.csr @ v, p.n_qubits, len(SECTORS_FULL)) < 1e-12
 
     def test_hermiticity_preservation_reduced(self):
         p = nonuniform_params()
         g = reduce_spin_symmetric(assemble(p))
         v = hermitian_stack(2, 3, seed=5)
-        assert stack_defect(g.apply(v), 2, 3) < 1e-12
+        assert stack_defect(g.csr @ v, 2, 3) < 1e-12
 
     def test_conjugation_symmetry_of_entries(self):
         g = assemble(nonuniform_params())
@@ -346,7 +344,7 @@ class TestLindblad:
 class TestApply:
     def test_zero_vector(self):
         g = assemble(ModelParams.uniform(2, zeta=0.2))
-        assert np.all(g.apply(np.zeros(g.dim, complex)) == 0.0)
+        assert np.all(g.csr @ np.zeros(g.dim, complex) == 0.0)
 
     def test_linearity(self):
         g = assemble(nonuniform_params())
@@ -354,8 +352,8 @@ class TestApply:
         u = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
         v = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
         a, b = 0.7 - 0.2j, -1.3 + 0.4j
-        lhs = g.apply(a * u + b * v)
-        rhs = a * g.apply(u) + b * g.apply(v)
+        lhs = g.csr @ (a * u + b * v)
+        rhs = a * (g.csr @ u) + b * (g.csr @ v)
         assert np.abs(lhs - rhs).max() < 1e-13
 
     def test_matches_dense_oracle(self):
@@ -363,12 +361,12 @@ class TestApply:
         m = dense_oracle(g)
         rng = np.random.default_rng(23)
         v = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
-        assert np.abs(g.apply(v) - m @ v).max() < 1e-13
+        assert np.abs(g.csr @ v - m @ v).max() < 1e-13
 
     def test_dimension_mismatch(self):
         g = assemble(ModelParams.uniform(2, zeta=0.2))
         with pytest.raises(ValueError):
-            g.apply(np.zeros(10, complex))
+            g.csr @ np.zeros(10, complex)
 
 
 class TestStructure:
@@ -423,8 +421,8 @@ class TestReduction:
             mats = vec.reshape(4, 256)
             return np.concatenate([mats[0], mats[1] + mats[2], mats[3]])
 
-        lhs = project(full.apply(v))
-        rhs = red.apply(project(v))
+        lhs = project(full.csr @ v)
+        rhs = red.csr @ project(v)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_reduced_gain_doubling(self):

@@ -114,14 +114,12 @@ class TestToDensity:
         assert np.all(rho[mask] == 0.0)
 
     def test_island_starts_empty(self):
-        sdm = to_density(state_by_name("psi1", 4))
-        assert np.all(sdm.rho_b_up == 0.0)
-        assert np.all(sdm.rho_b_dn == 0.0)
-        assert np.all(sdm.rho_c == 0.0)
+        sectors = to_density(state_by_name("psi1", 4)).flatten().reshape(4, 16, 16)
+        assert np.all(sectors[1:] == 0.0)  # b_up, b_dn and c
 
     def test_unit_trace(self):
-        sdm = to_density(state_by_name("psi2", 4))
-        total = sum(np.trace(m) for m in (sdm.rho_a, sdm.rho_b_up, sdm.rho_b_dn, sdm.rho_c))
+        sectors = to_density(state_by_name("psi2", 4)).flatten().reshape(4, 16, 16)
+        total = sum(np.trace(m) for m in sectors)
         assert total.real == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_rank_one(self):
