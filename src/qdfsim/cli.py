@@ -251,8 +251,7 @@ def run_states(
         g = reduced_generator(params)
     except ValueError as exc:  # the trace or finite-entry check of the generator
         raise ConfigError(str(exc)) from exc
-    initial = [states.to_density(a) for a in amp_list]
-    v0 = np.stack([dm.flatten(SECTORS_REDUCED) for dm in initial], axis=1)
+    v0 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in amp_list], axis=1)
     d = 2**cfg.n_qubits
     with np.errstate(over="ignore", invalid="ignore"):
         omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
@@ -268,8 +267,8 @@ def run_states(
         # populations break; at that sample those are named first
         end = min((b[0] for b in breaches if b), default=len(times))
         fids = [
-            analysis.fidelity_series(times[:end], f[:end], dm.rho_a, omega_prime)
-            for f, dm in zip(flats, initial)
+            analysis.fidelity_series(times[:end], f[:end], amps, omega_prime)
+            for f, amps in zip(flats, amp_list)
         ]
         breaches += [_first_breach(times, "F", f, -np.inf, 1.0 + _GATE_TOL) for f in fids]
         found = [b for b in breaches if b]
@@ -459,8 +458,8 @@ def run_verify() -> list[Check]:
     tf, tr = Collect(), Collect()
     evolve_rk4(full4, sdm.flatten(), 5.0, 0.01, 0.5, tf)
     evolve_rk4(red4, sdm.flatten(SECTORS_REDUCED), 5.0, 0.01, 0.5, tr)
-    f_full = analysis.fidelity_series(tf.times, tf.states, sdm.rho_a, omega_prime)
-    f_red = analysis.fidelity_series(tr.times, tr.states, sdm.rho_a, omega_prime)
+    f_full = analysis.fidelity_series(tf.times, tf.states, df4["psi2"], omega_prime)
+    f_red = analysis.fidelity_series(tr.times, tr.states, df4["psi2"], omega_prime)
     checks.append(
         Check("reduction_equivalence_n4", float(np.abs(f_full - f_red).max()), 1e-10)
     )

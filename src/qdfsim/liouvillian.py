@@ -124,18 +124,18 @@ class Generator:
 
 
 def _canonical(n_qubits: int, sectors: tuple[str, ...], m: sp.spmatrix) -> Generator:
-    """Generator on the canonical complex CSR form of m, checked for trace
-    preservation to ``_TRACE_TOL * max(1, max|L|)`` and for finite entries."""
+    """Generator on the canonical complex CSR form of m, checked for finite
+    entries and then for trace preservation to ``_TRACE_TOL * max(1, max|L|)``."""
     csr = m.tocsr().astype(np.complex128)
     csr.eliminate_zeros()
     csr.sort_indices()
+    if not np.isfinite(csr.data).all():  # overflowing rates or energies
+        raise ValueError("generator has a non-finite entry")
     g = Generator(n_qubits, sectors, csr)
     defect = trace_violation(g)
     bound = _TRACE_TOL * max(1.0, float(np.abs(csr.data).max(initial=0.0)))
-    if not defect <= bound:  # a NaN defect (overflowing rates) is refused too
+    if defect > bound:
         raise ValueError(f"generator is not trace preserving: defect {defect:.3e} > {bound:.1e}")
-    if not np.isfinite(csr.data).all():  # an overflow the trace rows cancel
-        raise ValueError("generator has a non-finite entry")
     return g
 
 

@@ -3,14 +3,12 @@ import pytest
 
 from qdfsim.analysis import (
     fidelity_series,
-    frame_rotation,
     qubit_dm_from_flat,
-    rotating_frame,
     rotation_frequencies,
 )
 from qdfsim.integrator import Collect, evolve_rk4
 from qdfsim.liouvillian import SECTORS_REDUCED, assemble, reduce_spin_symmetric
-from qdfsim.model import ModelParams
+from qdfsim.model import ModelParams, apply_scenario
 from qdfsim.states import state_by_name, to_density
 
 from conftest import I2, SX, fidelity_series_loop, kron_chain
@@ -37,13 +35,31 @@ class TestReduce:
             assert np.trace(rq).real == pytest.approx(1.0, abs=1e-9)
 
 
+def unit_dm(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A random full-rank density matrix of size d."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return psi / np.linalg.norm(psi)
+
+
+def frame_fidelities(times, rho: np.ndarray, psi: np.ndarray, om) -> np.ndarray:
+    """F of one qubit DM (or one per time) at each time, through fidelity_series."""
+    times = np.asarray(times, dtype=float)
+    flats = np.broadcast_to(rho, (len(times),) + rho.shape[-2:]).reshape(len(times), -1)
+    return fidelity_series(times, flats, psi, np.asarray(om, dtype=float))
+
+
 class TestRotatingFrame:
     def test_identity_at_t_zero(self):
         rng = np.random.default_rng(1)
-        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = rho + rho.conj().T
-        out = rotating_frame(rho, np.array([2.0, 2.0]), 0.0)
-        assert np.allclose(out, rho, atol=1e-15)
+        rho, psi = unit_dm(rng, 4), unit_vector(rng, 4)
+        f = frame_fidelities([0.0], rho, psi, [2.0, 2.0])
+        assert np.allclose(f, (psi.conj() @ rho @ psi).real, atol=1e-15)
 
     def test_frequencies_reduce_to_omega_without_bias(self):
         p = ModelParams.uniform(4, omega=2.0)
@@ -58,126 +74,136 @@ class TestRotatingFrame:
         w = 1.7
         sx = np.array([[0, 1], [1, 0]], complex)
         rho0 = np.array([[1, 0], [0, 0]], complex)
-        for t in (0.3, 1.1, 2.9, 7.7):
-            u = np.cos(w * t) * np.eye(2) - 1j * np.sin(w * t) * sx
-            rho_t = u @ rho0 @ u.conj().T
-            rotated = rotating_frame(rho_t, np.array([w]), t)
-            assert np.allclose(rotated, rho0, atol=1e-12)
+        times = np.array([0.3, 1.1, 2.9, 7.7])
+        u = [np.cos(w * t) * np.eye(2) - 1j * np.sin(w * t) * sx for t in times]
+        rho_t = np.array([m @ rho0 @ m.conj().T for m in u])
+        f = frame_fidelities(times, rho_t, np.array([1.0, 0.0]), [w])
+        assert np.allclose(f, 1.0, atol=1e-12)
 
     def test_time_stack_matches_kron_chain(self):
+        # a different frequency on each qubit, so a flip of the wrong qubit shows
+        rng = np.random.default_rng(5)
         om = np.array([2.0, 1.3, 0.7])
         times = np.array([0.0, 0.77, 3.1])
-        stack = frame_rotation(om, times)
-        assert stack.shape == (3, 8, 8)
-        for t, r in zip(times, stack):
-            ref = kron_chain([np.cos(w * t) * I2 + 1j * np.sin(w * t) * SX for w in om])
-            assert np.array_equal(r, ref)
+        rho, psi = unit_dm(rng, 8), unit_vector(rng, 8)
+        f = frame_fidelities(times, rho, psi, om)
+        for t, got in zip(times, f):
+            r = kron_chain([np.cos(w * t) * I2 + 1j * np.sin(w * t) * SX for w in om])
+            assert got == pytest.approx((psi.conj() @ r @ rho @ r.conj().T @ psi).real, abs=1e-14)
 
     def test_unitarity(self):
-        r = frame_rotation(np.array([2.0, 1.3]), 0.77)
-        assert np.allclose(r @ r.conj().T, np.eye(4), atol=1e-14)
+        # against the maximally mixed state F = |R(t)^dag psi|^2 / D
+        psi = unit_vector(np.random.default_rng(6), 4)
+        f = frame_fidelities([0.0, 0.77, 5.3], np.eye(4) / 4, psi, [2.0, 1.3])
+        assert np.allclose(f, 0.25, atol=1e-14)
 
     def test_spectrum_preserved(self):
+        # F over an orthonormal basis of references sums to Tr rho, and each
+        # lies within the spectrum of rho
         rng = np.random.default_rng(2)
-        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = rho @ rho.conj().T
-        rho /= np.trace(rho).real
-        out = rotating_frame(rho, np.array([2.0, 0.5]), 1.23)
-        assert np.allclose(
-            np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-12
-        )
+        rho = unit_dm(rng, 4)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        f = np.array([frame_fidelities([1.23], rho, col, [2.0, 0.5])[0] for col in q.T])
+        lam = np.linalg.eigvalsh(rho)
+        assert f.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all((lam[0] - 1e-12 <= f) & (f <= lam[-1] + 1e-12))
 
 
-def fidelity(rho0: np.ndarray, rho: np.ndarray) -> float:
+def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
     """F of one sample through fidelity_series: t = 0, omega' = 0, one sector."""
-    n = len(rho0).bit_length() - 1
-    return fidelity_series([0.0], rho.reshape(1, -1), rho0, np.zeros(n))[0]
+    n = len(psi).bit_length() - 1
+    return fidelity_series([0.0], rho.reshape(1, -1), psi, np.zeros(n))[0]
 
 
 class TestFidelity:
     def test_initial_overlap_is_one(self):
         amps = state_by_name("psi1", 4)
-        rho0 = np.outer(amps, amps.conj())
-        assert fidelity(rho0, rho0) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(amps, np.outer(amps, amps.conj())) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_and_unitary_invariant(self):
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho1 = a @ a.conj().T
-        rho1 /= np.trace(rho1).real
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho2 = b @ b.conj().T
-        rho2 /= np.trace(rho2).real
-        assert fidelity(rho1, rho2) == pytest.approx(fidelity(rho2, rho1), abs=1e-14)
+        psi1, psi2 = unit_vector(rng, 4), unit_vector(rng, 4)
+        f12 = fidelity(psi1, np.outer(psi2, psi2.conj()))
+        assert f12 == pytest.approx(fidelity(psi2, np.outer(psi1, psi1.conj())), abs=1e-14)
+        rho = unit_dm(rng, 4)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        f_rot = fidelity(q @ rho1 @ q.conj().T, q @ rho2 @ q.conj().T)
-        assert f_rot == pytest.approx(fidelity(rho1, rho2), abs=1e-12)
+        f_rot = fidelity(q @ psi1, q @ rho @ q.conj().T)
+        assert f_rot == pytest.approx(fidelity(psi1, rho), abs=1e-12)
 
     def test_bounds_for_pure_reference(self):
         rng = np.random.default_rng(4)
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        rho0 = np.outer(psi, psi.conj())
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        f = fidelity(rho0, rho)
+        psi = unit_vector(rng, 4)
+        f = fidelity(psi, unit_dm(rng, 4))
         assert -1e-12 <= f <= 1.0 + 1e-12
 
     def test_trace_mismatch_rejected(self):
+        psi = np.full(4, 0.5, dtype=complex)
         rho = np.eye(4, dtype=complex) / 4
         with pytest.raises(ValueError):
-            fidelity(2 * rho, rho)
+            fidelity(np.sqrt(2) * psi, rho)
         with pytest.raises(ValueError):
-            fidelity(rho, 0.5 * rho)
+            fidelity(psi, 0.5 * rho)
 
     def test_non_real_overlap_rejected(self):
-        rho0 = np.array([[1.0, 1.0], [0.0, 0.0]], complex)  # not hermitian
-        rho1 = np.array([[1.0, 0.0], [1.0j, 0.0]], complex)
+        psi = np.array([1.0, 1.0], complex) / np.sqrt(2)
+        rho = np.array([[1.0, 0.0], [1.0j, 0.0]], complex)  # not hermitian: F = (1 + i) / 2
         with pytest.raises(ValueError):
-            fidelity(rho0, rho1)
+            fidelity(psi, rho)
+
+
+def oracle_case(name: str) -> tuple[ModelParams, np.ndarray]:
+    """Parameters and initial amplitudes of one fidelity-oracle input."""
+    if name == "n2":
+        return ModelParams.uniform(2, zeta=0.6, epsilon=0.3), state_by_name("bell-b", 2)
+    if name == "n4":
+        return ModelParams.uniform(4, zeta=0.6, epsilon=0.3), state_by_name("psi2", 4)
+    if name == "n3_distinct_frequencies":
+        p = ModelParams.uniform(3, zeta=0.6, epsilon=[0.3, -0.7, 1.1], j_coupling=[0.2, -0.1])
+        return p, unit_vector(np.random.default_rng(11), 8)
+    base = ModelParams.uniform(4, zeta=0.6, epsilon=0.3)
+    return apply_scenario(base, "case_ii", 0.05), state_by_name("psi3", 4)
 
 
 class TestFidelitySeries:
     @staticmethod
-    def trajectory(n, amps, zeta=0.6):
-        p = ModelParams.uniform(n, zeta=zeta, epsilon=0.3)
+    def trajectory(name="n2"):
+        p, amps = oracle_case(name)
         g = reduce_spin_symmetric(assemble(p))
         traj = Collect()
         evolve_rk4(g, to_density(amps).flatten(SECTORS_REDUCED), 5.0, 1e-3, 0.1, traj)
-        return traj, np.outer(amps, amps.conj()), rotation_frequencies(p)
+        return traj, amps, rotation_frequencies(p)
 
-    @pytest.mark.parametrize("n, name", [(2, "bell-b"), (4, "psi2")], ids=["n2", "n4"])
-    def test_matches_per_sample_oracle(self, n, name):
-        traj, rho0, om = self.trajectory(n, state_by_name(name, n))
-        got = fidelity_series(traj.times, traj.states, rho0, om)
-        ref = fidelity_series_loop(traj.times, traj.states, rho0, om)
+    @pytest.mark.parametrize("name", ["n2", "n4", "n3_distinct_frequencies", "psi3_case_ii"])
+    def test_matches_per_sample_oracle(self, name):
+        traj, amps, om = self.trajectory(name)
+        got = fidelity_series(traj.times, traj.states, amps, om)
+        ref = fidelity_series_loop(traj.times, traj.states, np.outer(amps, amps.conj()), om)
         assert got.shape == (51,)
         assert np.abs(got - ref).max() <= 1e-14
 
     def test_trace_breach_rejected(self):
-        traj, rho0, om = self.trajectory(2, state_by_name("bell-b", 2))
+        traj, amps, om = self.trajectory()
         states = traj.states.copy()
         states[7] *= 1.1
         with pytest.raises(ValueError, match="unit-trace.*t=0.7"):
-            fidelity_series(traj.times, states, rho0, om)
+            fidelity_series(traj.times, states, amps, om)
         with pytest.raises(ValueError, match="unit-trace"):
-            fidelity_series(traj.times, traj.states, 2 * rho0, om)
+            fidelity_series(traj.times, traj.states, np.sqrt(2) * amps, om)
 
     def test_partial_sector_rejected(self):
         # the sector count is read from the flat length, which must hold whole D x D blocks
-        traj, rho0, om = self.trajectory(2, state_by_name("bell-b", 2))
+        traj, amps, om = self.trajectory()
         with pytest.raises(ValueError, match="flat length 47 is not a whole number of 4x4 sectors"):
-            fidelity_series(traj.times, traj.states[:, :-1], rho0, om)
+            fidelity_series(traj.times, traj.states[:, :-1], amps, om)
         with pytest.raises(ValueError, match="flat length 0 is not"):
             qubit_dm_from_flat(np.zeros(0), 4)
 
     def test_non_real_overlap_rejected(self):
-        traj, rho0, om = self.trajectory(2, state_by_name("bell-b", 2))
+        traj, amps, om = self.trajectory()
         states = traj.states.copy()
         states[0, 3] += 0.5j  # rho_a[0, 3] only: no longer hermitian, F(0) gains -0.25j
         with pytest.raises(ValueError, match=r"non-real value \(\S+-0\.2\d*j\) at t=0;"):
-            fidelity_series(traj.times, states, rho0, om)
+            fidelity_series(traj.times, states, amps, om)
 
 
 class TestUnitaryLimit:
@@ -188,8 +214,7 @@ class TestUnitaryLimit:
         v0 = to_density(amps).flatten(SECTORS_REDUCED)
         traj = Collect()
         evolve_rk4(g, v0, 20.0, 1e-3, 1.0, traj)
-        rho0 = np.outer(amps, amps.conj())
-        fids = fidelity_series(traj.times, traj.states, rho0, rotation_frequencies(p))
+        fids = fidelity_series(traj.times, traj.states, amps, rotation_frequencies(p))
         assert np.abs(fids - 1.0).max() < 1e-8
         for vec in traj.states:
             rq = qubit_dm_from_flat(vec, 4)
