@@ -32,6 +32,7 @@ from .integrator import (
     real_form,
 )
 from .liouvillian import (
+    SECTORS_FULL,
     SECTORS_REDUCED,
     Generator,
     assemble,
@@ -179,7 +180,7 @@ def config_params(cfg: RunConfig) -> tuple[ModelParams, ModelParams]:
 
 
 def reduced_generator(params: ModelParams) -> Generator:
-    return reduce_spin_symmetric(assemble(params))
+    return assemble(params, SECTORS_REDUCED)
 
 
 @dataclass
@@ -211,11 +212,14 @@ def _first_breach(
     return idx[0], f"{name}={values[idx]:.6g} at t={times[idx[0]]:g}"
 
 
-# Largest qubit count a run may build.  The full generator has at most
-# 4 * 4^N * (2N + 3) entries (each row: its diagonal, 2N qubit flips and two
-# rate gains), and building it (assemble, spin reduction and real_form) peaks
-# at about 128 B per entry (measured 91 B at N = 8 and 126 B at N = 5): about
-# 0.6 GiB at N = 8 and 2.7 GiB at N = 9, so N = 8 is the largest under 2 GiB.
+# Largest qubit count a run or a dump may build.  A run builds the reduced
+# generator, at most 4^N * (6N + 7) entries (each row: its diagonal, 2N qubit
+# flips and one or two rate gains); the direct assembly and real_form peak at
+# about 107 B per entry (measured 105 B at N = 8, 107 B at N = 5): 0.36 GiB at
+# N = 8 and 1.6 GiB at N = 9.  The dump text of the four-sector generator,
+# 4 * 4^N * (2N + 3) entries, peaks at about 240 B per entry (measured at
+# N = 5 and 6): 1.1 GiB at N = 8 and 4.9 GiB at N = 9, so N = 8 is the largest
+# under 2 GiB.
 _MAX_QUBITS = 8
 
 
@@ -430,7 +434,7 @@ def run_verify() -> list[Check]:
     for n in (2, 4):
         p = ModelParams.uniform(n, zeta=0.2)
         full = assemble(p)
-        red = reduce_spin_symmetric(full)
+        red = assemble(p, SECTORS_REDUCED)
         built[n] = p, full, red
         checks.append(Check(f"trace_identity_full_n{n}", trace_violation(full), 1e-12))
         checks.append(Check(f"trace_identity_reduced_n{n}", trace_violation(red), 1e-12))
@@ -463,6 +467,9 @@ def run_verify() -> list[Check]:
     checks.append(
         Check("reduction_equivalence_n4", float(np.abs(f_full - f_red).max()), 1e-10)
     )
+    # the direct reduced build against the projection P L E of the full one
+    fold_defect = abs(red4.csr - reduce_spin_symmetric(full4).csr).max()
+    checks.append(Check("spin_reduction_n4", float(fold_defect), 1e-12))
 
     grid = np.linspace(0.0, 10.0, 21)
     df_states = [*df4.values()] + [states.state_by_name(name, 2) for name in ("bell-c", "bell-d")]
@@ -627,9 +634,7 @@ def dump_generator(config_path: str, dump_full: bool) -> None:
     _check_generator_size(cfg.n_qubits)
     _, params = config_params(cfg)
     try:
-        g = assemble(params)
-        if not dump_full:
-            g = reduce_spin_symmetric(g)
+        g = assemble(params, SECTORS_FULL if dump_full else SECTORS_REDUCED)
     except ValueError as exc:  # the trace or finite-entry check of the generator
         raise ConfigError(str(exc)) from exc
     click.echo(g.dump(), nl=False)

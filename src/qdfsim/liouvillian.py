@@ -27,12 +27,11 @@ adds ``sqrt(r) sqrt(r)^T o rho_from`` to the ``to`` sector and
 ``vec(A rho B) = (A (x) B^T) vec rho`` and H real symmetric, the commutator
 is ``-i (H (x) I - I (x) H)`` on every sector.
 
-The island is spin degenerate, so the evolution closes on
-(a, b_up + b_dn, c).  ``reduce_spin_symmetric`` builds that three-sector
-generator as the projection ``P L E``: ``P`` sums the b_up and b_dn rows,
-and ``E`` embeds the reduced b as an even split.  The channels out of a and
-c have multiplicity 2, one jump per spin, hence the factor 2 on the reduced
-b gains; a and c gain from each spin half of b, which sums to the plain b.
+The island is spin degenerate, so the evolution closes on (a, b_up + b_dn,
+c).  ``assemble(p, SECTORS_REDUCED)`` writes it from the same channels with
+both spins named b: a and c list b twice, doubling their gain into b, and b
+leaves as one spin does.  Its check is ``reduce_spin_symmetric``, the
+projection ``P L E`` (``P`` sums the spin rows, ``E`` splits b evenly).
 
 Flat layout (the contract shared with the integrator and the exact-exponential
 oracle): sector-major, then z1-major, z2-minor::
@@ -139,25 +138,28 @@ def _canonical(n_qubits: int, sectors: tuple[str, ...], m: sp.spmatrix) -> Gener
     return g
 
 
-def channels(p: ModelParams) -> list[tuple[str, tuple[str, ...], np.ndarray]]:
+def channels(
+    p: ModelParams, sectors: tuple[str, ...] = SECTORS_FULL
+) -> list[tuple[str, tuple[str, ...], np.ndarray]]:
     """The island's jump channels as ``(from sector, to sectors, rate)``.
 
     Each target is one jump ``diag(sqrt(rate)) (x) |to><from|``.  The empty
     island fills through the left barrier (GL), the full one empties through
     the right (GR'), and each spin leaves for c (GL') and then for a (GR), the
-    summation order of the b loss.
+    summation order of the b loss.  The reduced layout names both spins b, so
+    a and c list b twice and b leaves as one spin does.
     """
     t = rate_table(p)
-    spins = ("b_up", "b_dn")
+    spins = ("b_up", "b_dn") if sectors == SECTORS_FULL else ("b", "b")
     out = [("a", spins, t.gamma_L)]
-    for b in spins:
+    for b in dict.fromkeys(spins):
         out += [(b, ("c",), t.gamma_L_primed), (b, ("a",), t.gamma_R)]
     return out + [("c", spins, t.gamma_R_primed)]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _canonical refuses what overflows
-def assemble(p: ModelParams) -> Generator:
-    """Assemble the full four-sector generator from the model parameters."""
+def assemble(p: ModelParams, sectors: tuple[str, ...] = SECTORS_FULL) -> Generator:
+    """Assemble the four-sector or the spin-reduced generator from ``channels``."""
     d = 2**p.n_qubits
     z = np.arange(d)
     h = np.diag(config_energies(p))
@@ -166,18 +168,19 @@ def assemble(p: ModelParams) -> Generator:
     h = sp.csr_matrix(h)
     eye = sp.identity(d, format="csr")
     coherent = -1j * (sp.kron(h, eye) - sp.kron(eye, h))
-    # a gain block per jump; a loss block of minus half the escape sum, in channel order
-    blocks = [[None] * len(SECTORS_FULL) for _ in SECTORS_FULL]
-    escape = [0.0] * len(SECTORS_FULL)
-    for src, targets, r in channels(p):
-        s, m = SECTORS_FULL.index(src), len(targets)
-        for to in targets:
-            blocks[SECTORS_FULL.index(to)][s] = sp.diags(np.outer(np.sqrt(r), np.sqrt(r)).ravel())
+    # a gain block per jump, summed; a loss block of minus half the escape sum, in channel order
+    blocks = [[None] * len(sectors) for _ in sectors]
+    escape = [0.0] * len(sectors)
+    for src, targets, r in channels(p, sectors):
+        s, m = sectors.index(src), len(targets)
+        gain = sp.diags(np.outer(np.sqrt(r), np.sqrt(r)).ravel())
+        for to in map(sectors.index, targets):
+            blocks[to][s] = gain if blocks[to][s] is None else blocks[to][s] + gain
         escape[s] = escape[s] + m * r[:, None] + m * r[None, :]
     for s, e in enumerate(escape):
         blocks[s][s] = sp.diags((-0.5 * e).ravel())
-    coherent_all = sp.kron(sp.identity(len(SECTORS_FULL)), coherent)
-    return _canonical(p.n_qubits, SECTORS_FULL, coherent_all + sp.bmat(blocks))
+    coherent_all = sp.kron(sp.identity(len(sectors)), coherent)
+    return _canonical(p.n_qubits, sectors, coherent_all + sp.bmat(blocks))
 
 
 def reduce_spin_symmetric(g: Generator) -> Generator:
@@ -188,7 +191,7 @@ def reduce_spin_symmetric(g: Generator) -> Generator:
     pi(v) = (a, b_up + b_dn, c) intertwines the two evolutions exactly for
     every vector, not just symmetric ones.  The reduced generator is
     ``P L E`` with ``P = pi`` and ``E`` the even split of b, a right inverse
-    of ``P``.
+    of ``P``: the independent check of ``assemble(p, SECTORS_REDUCED)``.
     """
     if g.sectors != SECTORS_FULL:
         raise ValueError("reduce_spin_symmetric expects the full four-sector generator")

@@ -42,15 +42,9 @@ _NAMED_COEFFS = {
 }
 
 
-def _amplitude_fields(spec: str) -> list[str]:
-    """The comma-separated amplitude fields of 'custom:<amplitudes>'."""
-    body = spec.split(":", 1)[1] if ":" in spec else spec
-    return [s.strip() for s in body.split(",")]
-
-
 def parse_custom(spec: str, n_qubits: int) -> np.ndarray:
     """Parse 'custom:<2^N comma-separated complex amplitudes>' and normalize a finite norm."""
-    parts = _amplitude_fields(spec)
+    parts = [s.strip() for s in spec.partition(":")[2].split(",")]
     d = 2**n_qubits
     if len(parts) != d:
         raise ValueError(f"custom state needs {d} amplitudes, got {len(parts)}")
@@ -72,8 +66,8 @@ def parse_custom(spec: str, n_qubits: int) -> np.ndarray:
 
 def qubit_count(name: str) -> int:
     """Qubit count of a named state, or N of a 'custom:' state of 2^N amplitudes (N >= 1)."""
-    if name.startswith("custom"):
-        count = len(_amplitude_fields(name))
+    if name.startswith("custom:"):
+        count = len(name.split(","))
         n = count.bit_length() - 1
         if count < 2 or count != 1 << n:
             raise ValueError(f"custom state needs 2^N amplitudes with N >= 1, got {count}")
@@ -88,7 +82,7 @@ def state_by_name(name: str, n_qubits: int) -> np.ndarray:
     against ``n_qubits``; the one constructor of a state by name."""
     n = qubit_count(name)
     if n != n_qubits:
-        shown = "custom state" if name.startswith("custom") else f"state {name!r}"
+        shown = "custom state" if name.startswith("custom:") else f"state {name!r}"
         raise ValueError(f"{shown} requires n_qubits={n}, got {n_qubits}")
     if name not in _NAMED_COEFFS:
         return parse_custom(name, n)

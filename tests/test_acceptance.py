@@ -74,7 +74,7 @@ def parse_csv(text: str) -> dict[str, np.ndarray]:
 
 def batch_evolve(n: int, names, zeta: float, t_end=50.0, dt=1e-3, si=0.1):
     p = ModelParams.uniform(n, zeta=zeta)
-    g = reduce_spin_symmetric(assemble(p))
+    g = assemble(p, SECTORS_REDUCED)
     amps = [state_by_name(s, n) for s in names]
     v0 = np.stack([to_density(a).flatten(SECTORS_REDUCED) for a in amps], axis=1)
     traj = Collect()
@@ -157,7 +157,7 @@ def test_criterion_03_oracle_equivalence():
     diffs = {}
     for n, state, tol in ((2, "bell-d", 1e-8), (4, "psi2", 1e-6)):
         p = ModelParams.uniform(n, zeta=0.2)
-        g = reduce_spin_symmetric(assemble(p))
+        g = assemble(p, SECTORS_REDUCED)
         v0 = to_density(state_by_name(state, n)).flatten(SECTORS_REDUCED)
         rk4 = Collect()
         evolve_rk4(g, v0, 50.0, 1e-3, 50.0, rk4)
@@ -283,7 +283,7 @@ def test_criterion_08_fig4_monotonicity(fig4_csv):
 def psi1_fidelity(p: ModelParams, t_end: float) -> float:
     """F(t_end) of psi1 under p, scored in p's own frame as a run does by default."""
     amps = state_by_name("psi1", 4)
-    g = reduce_spin_symmetric(assemble(p))
+    g = assemble(p, SECTORS_REDUCED)
     traj = Collect()
     evolve_rk4(g, to_density(amps).flatten(SECTORS_REDUCED), t_end, 1e-3, t_end, traj)
     return float(fidelity_series(traj.times, traj.states, amps, rotation_frequencies(p))[-1])
@@ -327,7 +327,7 @@ def test_criterion_08_fig4_eta0_below_one(fig4_csv):
     # the reason, on the generator alone: L maps the sector copies of
     # vec(|psi1><psi1|) (orthonormal, since Tr P^2 = 1) into their own span
     p = ModelParams.uniform(4, zeta=0.2)
-    g = reduce_spin_symmetric(assemble(p))
+    g = assemble(p, SECTORS_REDUCED)
     psi1 = state_by_name("psi1", 4)
     proj = np.outer(psi1, psi1.conj()).ravel()
     basis = np.kron(np.eye(len(SECTORS_REDUCED)), proj[:, None])

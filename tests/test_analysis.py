@@ -7,7 +7,7 @@ from qdfsim.analysis import (
     rotation_frequencies,
 )
 from qdfsim.integrator import Collect, evolve_rk4
-from qdfsim.liouvillian import SECTORS_REDUCED, assemble, reduce_spin_symmetric
+from qdfsim.liouvillian import SECTORS_REDUCED, assemble
 from qdfsim.model import ModelParams, apply_scenario
 from qdfsim.states import state_by_name, to_density
 
@@ -26,7 +26,7 @@ class TestReduce:
 
     def test_trace_one_along_trajectory(self):
         p = ModelParams.uniform(2, zeta=0.6)
-        g = reduce_spin_symmetric(assemble(p))
+        g = assemble(p, SECTORS_REDUCED)
         v0 = to_density(state_by_name("bell-b", 2)).flatten(SECTORS_REDUCED)
         traj = Collect()
         evolve_rk4(g, v0, 10.0, 1e-3, 1.0, traj)
@@ -168,7 +168,7 @@ class TestFidelitySeries:
     @staticmethod
     def trajectory(name="n2"):
         p, amps = oracle_case(name)
-        g = reduce_spin_symmetric(assemble(p))
+        g = assemble(p, SECTORS_REDUCED)
         traj = Collect()
         evolve_rk4(g, to_density(amps).flatten(SECTORS_REDUCED), 5.0, 1e-3, 0.1, traj)
         return traj, amps, rotation_frequencies(p)
@@ -209,7 +209,7 @@ class TestFidelitySeries:
 class TestUnitaryLimit:
     def test_decoupled_detector_preserves_purity_and_fidelity(self):
         p = ModelParams.uniform(2, zeta=0.0)
-        g = reduce_spin_symmetric(assemble(p))
+        g = assemble(p, SECTORS_REDUCED)
         amps = state_by_name("bell-b", 2)
         v0 = to_density(amps).flatten(SECTORS_REDUCED)
         traj = Collect()

@@ -19,6 +19,7 @@ from qdfsim.cli import (
     parse_config,
     run_single_csv,
 )
+from qdfsim.liouvillian import SECTORS_FULL, SECTORS_REDUCED
 from qdfsim.model import CASE_AFFECTED
 
 TINY_N2 = json.dumps(
@@ -391,6 +392,17 @@ class TestCommands:
         result = CliRunner().invoke(main, ["baseline", "--state", "ghz", "--gamma-d", "0.1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("state", ["customX:1,0,0,1", "custom1,0,0,1", "custom"])
+    def test_custom_needs_the_exact_prefix_exit_two(self, tmp_path, state):
+        args = ["baseline", "--state", state, "--gamma-d", "0.3", "--t-end", "0.2"]
+        base = CliRunner().invoke(main, args)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"n_qubits": 2, "state": state, "t_end": 0.2}))
+        sim = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert (base.exit_code, sim.exit_code) == (2, 2)
+        assert base.output.strip().splitlines() == [f"Error: unknown state {state!r}"]
+        assert sim.output.strip().splitlines() == [f"Error: state: unknown state {state!r}"]
+
     def test_dump_generator(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text('{"n_qubits": 2, "state": "bell-a", "zeta": 0.2}')
@@ -403,6 +415,32 @@ class TestCommands:
         )
         assert full.exit_code == 0
         assert "b_up,000,000" in full.output
+
+    def test_runs_and_reduced_dumps_build_only_the_reduced_generator(
+        self, tmp_path, monkeypatch
+    ):
+        # the reduced generator is written straight from the channels: no
+        # four-sector build and no P L E projection
+        from qdfsim import cli
+
+        def never(g):
+            raise AssertionError("reduce_spin_symmetric called")
+
+        layouts = []
+        build = cli.assemble
+
+        def recording(params, sectors=SECTORS_FULL):
+            layouts.append(sectors)
+            return build(params, sectors)
+
+        monkeypatch.setattr(cli, "reduce_spin_symmetric", never)
+        monkeypatch.setattr(cli, "assemble", recording)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"n_qubits": 2, "state": "bell-b", "t_end": 0.2}')
+        for command in ("simulate", "dump-generator"):
+            result = CliRunner().invoke(main, [command, "--config", str(cfg_file)])
+            assert result.exit_code == 0, result.output
+        assert layouts == [SECTORS_REDUCED, SECTORS_REDUCED]
 
     def test_dump_generator_trace_check_exit_two(self, tmp_path, monkeypatch):
         # a planted trace defect of 1e-10 per unit of max|L| (2.4 here)
@@ -541,6 +579,8 @@ class TestCommands:
         assert "PASS real_form_n4" in result.output
         assert "PASS krylov_route_n4" in result.output
         assert "PASS krylov_route_n5" in result.output
+        # the direct reduced build equals P L E of the full one bit for bit
+        assert "PASS spin_reduction_n4: measured=0.000e+00 tolerance=1.0e-12" in result.output
         # the verify checks keep the absolute 1e-12 bound and their values
         for name, value in (("full_n2", "4.441e-16"), ("reduced_n2", "4.441e-16"),
                             ("full_n4", "2.220e-16"), ("reduced_n4", "2.220e-16")):

@@ -24,7 +24,6 @@ from qdfsim.liouvillian import (
     SECTORS_REDUCED,
     Generator,
     assemble,
-    reduce_spin_symmetric,
 )
 from qdfsim.model import ModelParams, apply_scenario
 from qdfsim.states import DF4_NAMES, parse_custom, state_by_name, to_density
@@ -41,7 +40,7 @@ def collect(run, *args, **kwargs) -> Collect:
 
 def bell_setup(zeta=0.2):
     p = ModelParams.uniform(2, zeta=zeta)
-    g = reduce_spin_symmetric(assemble(p))
+    g = assemble(p, SECTORS_REDUCED)
     amps = state_by_name("bell-d", 2)
     v0 = to_density(amps).flatten(SECTORS_REDUCED)
     return p, g, amps, v0
@@ -179,7 +178,7 @@ class TestInternalRoutes:
 
 def n4_generator():
     p = ModelParams.uniform(4, zeta=0.2, epsilon=[0.1, -0.3, 0.2, 0.4], j_coupling=[0.05, -0.1, 0.2])
-    return reduce_spin_symmetric(assemble(apply_scenario(p, "case_ii", 0.05)))
+    return assemble(apply_scenario(p, "case_ii", 0.05), SECTORS_REDUCED)
 
 
 class TestRealForm:
@@ -250,7 +249,7 @@ def n5_setup():
     p = ModelParams.uniform(
         5, zeta=0.2, epsilon=[0.2, -0.4, 0.1, 0.3, -0.1], j_coupling=[0.1, -0.25, 0.05, 0.2]
     )
-    g = reduce_spin_symmetric(assemble(p))
+    g = assemble(p, SECTORS_REDUCED)
     amps = np.cos(np.arange(32) * 0.7) + 1j * np.sin(np.arange(32) * 1.3)
     spec = "custom:" + ",".join(repr(complex(a)) for a in amps)
     return g, to_density(parse_custom(spec, 5)).flatten(SECTORS_REDUCED)
@@ -263,7 +262,7 @@ def _small_generators():
     amps3 = np.cos(np.arange(8) * 0.9) + 1j * np.sin(np.arange(8) * 0.4)
     spec3 = "custom:" + ",".join(repr(complex(a)) for a in amps3)
     v3 = to_density(parse_custom(spec3, 3)).flatten(SECTORS_REDUCED)
-    return {2: bell_setup(zeta=0.6)[1::2], 3: (reduce_spin_symmetric(assemble(p3)), v3)}
+    return {2: bell_setup(zeta=0.6)[1::2], 3: (assemble(p3, SECTORS_REDUCED), v3)}
 
 
 class TestKrylovRoute:
@@ -286,7 +285,7 @@ class TestKrylovRoute:
         # a fig3b group on the Krylov route, which every figure takes: t 50,
         # interval 0.1, psi1-psi3 as one batch
         p = apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05)
-        g = reduce_spin_symmetric(assemble(p))
+        g = assemble(p, SECTORS_REDUCED)
         v0 = np.stack(
             [to_density(state_by_name(s, 4)).flatten(SECTORS_REDUCED) for s in DF4_NAMES],
             axis=1,

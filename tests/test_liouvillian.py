@@ -437,6 +437,38 @@ class TestReduction:
         a_from_b = lookup[(flat_index(0, 0, 0, 2), flat_index(1, 0, 0, 2))]
         assert a_from_b == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_direct_build_matches_projection_bit_for_bit(self, seed):
+        # assemble(p, SECTORS_REDUCED) writes P L E without building L: each
+        # doubled gain is g + g and each P L E entry 0.5 x + 0.5 x, both exact
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 5
+        split = int(rng.integers(1, n))
+        order = rng.permutation(np.arange(1, n + 1)).tolist()
+        p = ModelParams.uniform(
+            n,
+            omega=float(rng.uniform(0.5, 3.0)),
+            zeta=float(rng.uniform(0.0, 0.9)),
+            epsilon=rng.uniform(-1.0, 1.0, n).tolist(),
+            j_coupling=rng.uniform(-1.0, 1.0, n - 1).tolist(),
+            primed_scale=float(rng.uniform(0.2, 3.0)),
+            left_barrier=order[:split],
+            right_barrier=order[split:],
+        )
+        if n >= 4:
+            case = ("case_ii", "case_iii")[seed % 2]
+            p = apply_scenario(p, case, float(rng.uniform(0.01, 0.1)))
+        direct = assemble(p, SECTORS_REDUCED)
+        folded = reduce_spin_symmetric(assemble(p))
+        assert direct.sectors == folded.sectors == SECTORS_REDUCED
+        assert np.array_equal(direct.csr.indptr, folded.csr.indptr)
+        assert np.array_equal(direct.csr.indices, folded.csr.indices)
+        assert np.array_equal(direct.csr.data.view(np.int64), folded.csr.data.view(np.int64))
+
+    def test_unknown_layout_rejected(self):
+        with pytest.raises(ValueError):
+            assemble(ModelParams.uniform(2, zeta=0.2), ("a", "b"))
+
     def test_cannot_reduce_twice(self):
         g = reduce_spin_symmetric(assemble(ModelParams.uniform(2, zeta=0.2)))
         with pytest.raises(ValueError):
@@ -507,9 +539,12 @@ class TestDump:
     @pytest.mark.parametrize("params", ["nonuniform", "case_ii"])
     @pytest.mark.parametrize("layout", ["full", "reduced"])
     def test_dump_digest_pinned(self, params, layout):
+        # the reduced digest holds for the direct build and for P L E alike
         p = nonuniform_params() if params == "nonuniform" else case_ii_params()
-        g = assemble(p)
-        if layout == "reduced":
-            g = reduce_spin_symmetric(g)
-        digest = hashlib.sha256(g.dump().encode()).hexdigest()
-        assert digest == self.DIGESTS[(params, layout)]
+        if layout == "full":
+            built = [assemble(p)]
+        else:
+            built = [assemble(p, SECTORS_REDUCED), reduce_spin_symmetric(assemble(p))]
+        for g in built:
+            digest = hashlib.sha256(g.dump().encode()).hexdigest()
+            assert digest == self.DIGESTS[(params, layout)]

@@ -229,6 +229,12 @@ class TestQubitCount:
         with pytest.raises(ValueError, match="unknown state 'ghz'"):
             qubit_count("ghz")
 
+    @pytest.mark.parametrize("name", ["customX:1,0,0,1", "custom1,0,0,1", "custom"])
+    def test_custom_needs_the_exact_prefix(self, name):
+        for call in (lambda: qubit_count(name), lambda: state_by_name(name, 2)):
+            with pytest.raises(ValueError, match=rf"^unknown state '{name}'$"):
+                call()
+
     def test_state_by_name_checks_the_count(self):
         with pytest.raises(ValueError, match="custom state requires n_qubits=2, got 3"):
             state_by_name("custom:1,0,0,0", 3)
