@@ -32,6 +32,9 @@ decomposition of the psi1 sweep beside them.
   at t = 50 that never rises, and so does the whole case at t = 10.  So
   neither ingredient alone, nor the whole case before t = 10, makes the
   rises of the monotonicity check.
+* psi1_omega_only_sweep takes the case's omega detuning alone: its F(eta) at
+  t = 50 steps up and down with fig4's psi1 column, each step within 2e-3
+  of it, so the detuning makes psi1's rises.
 """
 
 import time
@@ -314,6 +317,27 @@ def test_criterion_08_psi1_sweep_parts_non_increasing(sweep, t_end, case):
         f"F=[{', '.join('%.6f' % v for v in f)}], max step {steps.max():+.2e}",
     )
     assert ok, f"F(eta) not non-increasing: {f}"
+
+
+@pytest.mark.parametrize("case", ["case_ii", "case_iii"])
+def test_criterion_08_psi1_omega_only_sweep_follows_fig4(fig4_csv, case):
+    # the case's omega detuning alone, scored in its own frame, makes fig4's
+    # psi1 steps at t = 50: each step has the full case's sign and size
+    step_tol = 2e-3
+    base = ModelParams.uniform(4, zeta=0.2)
+    f = [
+        psi1_fidelity(replace(base, omega=apply_scenario(base, case, eta).omega), 50.0)
+        for eta in ETA_GRID
+    ]
+    steps, full_steps = np.diff(f), np.diff(fig4_csv[case]["psi1"])
+    gap = float(np.abs(steps - full_steps).max())
+    ok = bool(np.all(np.sign(steps) == np.sign(full_steps))) and gap <= step_tol
+    report(
+        f"criterion-8 psi1 omega_only sweep against fig4, {case}, t=50",
+        ok,
+        f"F=[{', '.join('%.6f' % v for v in f)}], largest step difference {gap:.2e}",
+    )
+    assert ok, f"omega-only steps {steps} against fig4's {full_steps}"
 
 
 def test_criterion_08_fig4_eta0_below_one(fig4_csv):

@@ -661,16 +661,72 @@ def test_krylov_run_bytes():
     assert result.output == (data / "custom_n5_t1.csv").read_text()
 
 
-def test_cli_import_leaves_out_scipy_linalg():
-    # only the evolve_expm oracle needs scipy.linalg; no run pays for its import
+class TestGroupPool:
+    """A figure evolves its generator groups in forked worker processes; the
+    bytes, the refusals and the process table are those of one process."""
+
+    @staticmethod
+    def _workers(monkeypatch, n: int) -> None:
+        from qdfsim import cli
+
+        monkeypatch.setattr(cli, "_max_workers", lambda: n)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b", "fig4a", "fig4b"])
+    def test_pool_bytes_match_one_process(self, monkeypatch, name):
+        # two workers are forced, so a one-core host still runs the pool
+        from qdfsim.cli import run_eta_figure, run_time_figure
+
+        run = run_eta_figure if name.startswith("fig4") else run_time_figure
+        self._workers(monkeypatch, 2)
+        pooled = run(name, t_end=1.0)
+        self._workers(monkeypatch, 1)
+        assert pooled == run(name, t_end=1.0)
+
+    def test_worker_error_and_cleanup(self, monkeypatch, tmp_path):
+        import multiprocessing
+
+        from qdfsim import cli
+
+        self._workers(monkeypatch, 2)
+        path = cli.write_figure("fig3b", tmp_path)
+        assert path.is_file() and multiprocessing.active_children() == []
+        series = {
+            "psi1": ("psi1", (4, 0.2, "uniform", 0.0)),
+            "nope": ("no-such-state", (2, 0.2, "uniform", 0.0)),
+        }
+        messages = []
+        for workers in (2, 1):
+            self._workers(monkeypatch, workers)
+            with pytest.raises(ConfigError) as exc:
+                cli._run_grouped(series, 0.1, 0.1)
+            assert type(exc.value) is ConfigError and exc.value.exit_code == 2
+            assert multiprocessing.active_children() == []
+            messages.append(exc.value.message)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("state: ")
+
+
+def _cli_import_loads(module: str) -> bool:
+    """Whether ``import qdfsim.cli`` in a fresh interpreter loads ``module``."""
     import qdfsim
 
     env = {**os.environ, "PYTHONPATH": str(Path(qdfsim.__file__).parents[1])}
-    code = "import sys, qdfsim.cli; print('scipy.linalg' in sys.modules)"
+    code = f"import sys, qdfsim.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # only the evolve_expm oracle needs scipy.linalg; no run pays for its import
+    assert not _cli_import_loads("scipy.linalg")
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # only a figure's worker pool needs multiprocessing; importing the CLI
+    # does not pay for it
+    assert not _cli_import_loads("multiprocessing")
 
 
 class TestSampleBlocks:
@@ -704,6 +760,13 @@ class TestSampleBlocks:
         assert max(lengths) == samples and sum(lengths) == 21
         lengths.clear()
         self._blocks_of(monkeypatch, samples, dim=768, states=3)  # 11 samples of each case's DF states
+        # forked workers inherit the block size, but the spy only sees calls
+        # made in this process: the pool's bytes are compared, then one
+        # process counts the block lengths
+        monkeypatch.setattr(cli, "_max_workers", lambda: 2)
+        assert cli.run_time_figure("fig3b", t_end=1.0) == one_block[1]
+        assert lengths == []
+        monkeypatch.setattr(cli, "_max_workers", lambda: 1)
         assert cli.run_time_figure("fig3b", t_end=1.0) == one_block[1]
         assert max(lengths) == samples and sum(lengths) == 9 * 11
 
