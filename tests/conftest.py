@@ -4,13 +4,18 @@ Everything here is deliberately independent of the package internals it is
 used to check: flat and flipped indices are written out from the documented
 layout, dense Hamiltonians are built by explicit Kronecker products, small
 linear systems are solved by eigen-decomposition, RK4 is run on the complex
-flat vector, and F(t) is reduced one sample at a time.
+flat vector, and F(t) is reduced one sample at a time.  The qubit-only model
+reads the package's channel table, the rates it approximates, and nothing the
+generator is built with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from qdfsim.liouvillian import SECTORS_REDUCED, channels
+from qdfsim.model import ModelParams
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -107,6 +112,34 @@ def fidelity_series_loop(times, flat_states, rho0, omega_prime) -> np.ndarray:
         r = kron_chain([np.cos(w * t) * I2 + 1j * np.sin(w * t) * SX for w in omega_prime])
         out.append(fidelity(rho0, r @ rho_q @ r.conj().T))
     return np.array(out)
+
+
+def island_dephasing(p: ModelParams) -> np.ndarray:
+    """Gamma(z1, z2), shape (D, D): minus the largest real part of the island's
+    3 x 3 block over (a, b, c) for the configuration pair (z1, z2).
+
+    Without H the reduced generator is block-diagonal over the pairs: a jump
+    of rate r adds sqrt(r(z1) r(z2)) to each listed target and takes
+    (r(z1) + r(z2)) / 2 per target from its source.  All D^2 blocks are solved
+    in one batched ``np.linalg.eigvals``.
+    """
+    d = 2**p.n_qubits
+    blocks = np.zeros((d, d, 3, 3))
+    for src, targets, r in channels(p, SECTORS_REDUCED):
+        s = SECTORS_REDUCED.index(src)
+        for to in targets:
+            blocks[:, :, SECTORS_REDUCED.index(to), s] += np.sqrt(np.outer(r, r))
+            blocks[:, :, s, s] -= 0.5 * (r[:, None] + r[None, :])
+    return -np.linalg.eigvals(blocks).real.max(axis=-1)
+
+
+def qubit_only_generator(p: ModelParams) -> np.ndarray:
+    """Dense ``L_q = -i[H, .] - Gamma o .`` on row-major D x D qubit matrices:
+    the reduced generator with the island eliminated to zeroth order, each
+    pair (z1, z2) dephasing at its slowest island rate Gamma(z1, z2)."""
+    h = dense_hamiltonian(p.omega, p.epsilon, p.j_coupling)
+    eye = np.eye(len(h))
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T)) - np.diag(island_dephasing(p).ravel())
 
 
 @pytest.fixture

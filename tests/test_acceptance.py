@@ -35,6 +35,10 @@ decomposition of the psi1 sweep beside them.
 * psi1_omega_only_sweep takes the case's omega detuning alone: its F(eta) at
   t = 50 steps up and down with fig4's psi1 column, each step within 2e-3
   of it, so the detuning makes psi1's rises.
+* qubit_only eliminates the island (``conftest.qubit_only_generator``, its
+  spectrum in ``test_qubit_model.py``): L_q gives F of psi1-psi3 at t = 10
+  and 50 within 5e-3 of fig3b and fig4a, and psi1's fig4a sweep with every
+  step of the same sign, so the rises do not come from the island's memory.
 """
 
 import time
@@ -42,7 +46,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dense_hamiltonian
+from conftest import dense_hamiltonian, qubit_only_generator
 
 from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim.baseline import baseline_fidelity
@@ -338,6 +342,66 @@ def test_criterion_08_psi1_omega_only_sweep_follows_fig4(fig4_csv, case):
         f"F=[{', '.join('%.6f' % v for v in f)}], largest step difference {gap:.2e}",
     )
     assert ok, f"omega-only steps {steps} against fig4's {full_steps}"
+
+
+def qubit_only_fidelity(p: ModelParams, times) -> np.ndarray:
+    """F of psi1-psi3 under the qubit-only model L_q, shape (len(times), 3),
+    scored in p's own frame as a run does by default."""
+    amps = [state_by_name(s, 4) for s in DF4]
+    vals, vecs = np.linalg.eig(qubit_only_generator(p))  # one solve serves every t
+    coeff = np.linalg.solve(vecs, np.stack([np.outer(a, a.conj()).ravel() for a in amps], axis=1))
+    flat = np.array([(vecs * np.exp(vals * t)) @ coeff for t in times])
+    om = rotation_frequencies(p)
+    return np.array(
+        [fidelity_series(np.asarray(times), flat[:, :, k], a, om) for k, a in enumerate(amps)]
+    ).T
+
+
+@pytest.fixture(scope="module")
+def qubit_only_fig4a() -> np.ndarray:
+    """L_q's F of psi1-psi3 at t = 10 and 50 for each eta of fig4a, shape (6, 2, 3)."""
+    base = ModelParams.uniform(4, zeta=0.2)
+    cases = [apply_scenario(base, "case_ii", eta) for eta in ETA_GRID]
+    return np.array([qubit_only_fidelity(p, (10.0, 50.0)) for p in cases])
+
+
+def test_criterion_08_qubit_only_model_follows_figures(fig3b_csv, fig4_csv, qubit_only_fig4a):
+    # the island eliminated to zeroth order (tests/test_qubit_model.py) gives
+    # F of psi1-psi3 at t = 10 and 50 at the fig3b and fig4a parameters
+    tol = 5e-3
+    fig4a_t10 = parse_csv(run_eta_figure("fig4a", t_end=10.0))
+    rows = [int(np.argmin(np.abs(fig3b_csv["t"] - t))) for t in (10.0, 50.0)]
+    base = ModelParams.uniform(4, zeta=0.2)
+    gaps = {}
+    for case in ("case_i", "case_ii", "case_iii"):
+        full = np.array([[fig3b_csv[f"{s}_{case}"][r] for s in DF4] for r in rows])
+        q = qubit_only_fidelity(apply_scenario(base, case, 0.05), (10.0, 50.0))
+        gaps[f"fig3b {case}"] = float(np.abs(full - q).max())
+    for i, eta in enumerate(ETA_GRID):
+        full = np.array([[fig4a_t10[s][i] for s in DF4], [fig4_csv["case_ii"][s][i] for s in DF4]])
+        gaps[f"fig4a eta={eta:g}"] = float(np.abs(full - qubit_only_fig4a[i]).max())
+    worst = max(gaps.values())
+    ok = worst <= tol
+    report(
+        "criterion-8 qubit-only model against fig3b and fig4a, t=10 and 50",
+        ok,
+        "max|dF| " + ", ".join(f"{k}: {v:.1e}" for k, v in gaps.items()),
+    )
+    assert ok, f"qubit-only F off by {worst:.2e} > {tol:g}"
+
+
+def test_criterion_08_qubit_only_psi1_sweep_follows_fig4a(fig4_csv, qubit_only_fig4a):
+    # without the island's memory, psi1's fig4a sweep at t = 50 rises and
+    # falls at the same steps
+    f, full = qubit_only_fig4a[:, 1, 0], fig4_csv["case_ii"]["psi1"]
+    steps, full_steps = np.diff(f), np.diff(full)
+    ok = bool(np.all(np.sign(steps) == np.sign(full_steps)))
+    report(
+        "criterion-8 qubit-only psi1 sweep against fig4a, t=50",
+        ok,
+        f"F=[{', '.join('%.4f' % v for v in f)}], fig4a [{', '.join('%.4f' % v for v in full)}]",
+    )
+    assert ok, f"qubit-only steps {steps} against fig4a's {full_steps}"
 
 
 def test_criterion_08_fig4_eta0_below_one(fig4_csv):

@@ -68,6 +68,39 @@ class TestSampling:
         assert np.array_equal(blocks.times, whole.times)
         assert np.array_equal(blocks.states, whole.states)
 
+    @pytest.mark.parametrize("run", ["fig_style_n5", "fig3b_case_ii"])
+    def test_runs_arrive_in_bounded_blocks(self, run, monkeypatch):
+        # a fig-style N = 5 run to t 10 (101 samples, 4.96 MB) and a fig3b
+        # group to t 20 (201 samples of 3 columns, 7.4 MB) each pass the
+        # sink more than one block, none above the bound, and the joined
+        # blocks are the samples a 32 MiB block holds whole
+        if run == "fig_style_n5":
+            p = ModelParams.uniform(5, zeta=0.2, epsilon=0.1, j_coupling=0.05)
+            amps = np.random.default_rng(5).normal(size=(32, 2)) @ [1.0, 1j]
+            spec = "custom:" + ",".join(repr(complex(a)) for a in amps)
+            v0, t_end = to_density(parse_custom(spec, 5)).flatten(SECTORS_REDUCED), 10.0
+        else:
+            p = apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05)
+            v0 = np.stack(
+                [to_density(state_by_name(s, 4)).flatten(SECTORS_REDUCED) for s in DF4_NAMES],
+                axis=1,
+            )
+            t_end = 20.0
+        g = assemble(p, SECTORS_REDUCED)
+        sizes, blocks = [], Collect()
+
+        def record(times, block):
+            sizes.append(block.nbytes)
+            blocks(times, block)
+
+        evolve_rk4(g, v0, t_end, 1e-3, 0.1, record)
+        assert len(sizes) > 1
+        assert max(sizes) <= integrator._BLOCK_BYTES
+        monkeypatch.setattr(integrator, "_BLOCK_BYTES", 32 * 2**20)
+        whole = collect(evolve_rk4, g, v0, t_end, 1e-3, 0.1)
+        assert np.array_equal(blocks.times, whole.times)
+        assert np.array_equal(blocks.states, whole.states)
+
     def test_grid_validation(self):
         _, g, _, v0 = bell_setup()
         with pytest.raises(ValueError):
