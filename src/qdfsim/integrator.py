@@ -91,10 +91,12 @@ _DGKS = 1 / math.sqrt(2)
 _MAX_SAMPLES = 100_000
 # Largest block of complex samples a sink receives, in bytes (at least one
 # sample).  A run holds one block, so this bounds its sample memory: a
-# fig-style N = 6 `simulate` peaks at 75 MB, against 116 MB with 32 MiB.
-# Smaller blocks save little more (5 MB at N = 5 with 1 MiB) and pay the
-# reduction's fixed cost per block more often.
-_BLOCK_BYTES = 4 * 2**20
+# fig-style N = 5 run peaks at 5.5 MiB of traced allocations, against 9.5 MiB
+# with 4 MiB blocks.  Below 1 MiB the generator build and the Krylov loop set
+# the peak (4.8 MiB with 512 KiB blocks).  The CPU time of a fig3b group
+# (three columns, 501 samples, 18 blocks) reads 0.23 s at both 4 and 1 MiB,
+# and 0.27 s at 512 KiB, with overlapping quartiles.
+_BLOCK_BYTES = 2**20
 # Bound on max|Im S L S^-1| / max|L|; rounding leaves about 1e-16.
 REAL_FORM_TOL = 1e-14
 

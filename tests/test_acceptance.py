@@ -37,8 +37,9 @@ decomposition of the psi1 sweep beside them.
   of it, so the detuning makes psi1's rises.
 * qubit_only eliminates the island (``conftest.qubit_only_generator``, its
   spectrum in ``test_qubit_model.py``): L_q gives F of psi1-psi3 at t = 10
-  and 50 within 5e-3 of fig3b and fig4a, and psi1's fig4a sweep with every
-  step of the same sign, so the rises do not come from the island's memory.
+  and 50 within 5e-3 of fig3b, fig4a and fig4b, and psi1's sweeps in fig4a
+  and fig4b with every step of the same sign, so the rises do not come from
+  the island's memory.
 """
 
 import time
@@ -357,51 +358,60 @@ def qubit_only_fidelity(p: ModelParams, times) -> np.ndarray:
     ).T
 
 
-@pytest.fixture(scope="module")
-def qubit_only_fig4a() -> np.ndarray:
-    """L_q's F of psi1-psi3 at t = 10 and 50 for each eta of fig4a, shape (6, 2, 3)."""
+FIG4 = {"case_ii": "fig4a", "case_iii": "fig4b"}
+
+
+@pytest.fixture(scope="module", params=list(FIG4))
+def qubit_only_fig4(request) -> tuple[str, np.ndarray]:
+    """A fig4 case and L_q's F of psi1-psi3 at t = 10 and 50 for each eta of
+    its figure (fig4a: case ii, fig4b: case iii), shape (6, 2, 3)."""
     base = ModelParams.uniform(4, zeta=0.2)
-    cases = [apply_scenario(base, "case_ii", eta) for eta in ETA_GRID]
-    return np.array([qubit_only_fidelity(p, (10.0, 50.0)) for p in cases])
+    cases = [apply_scenario(base, request.param, eta) for eta in ETA_GRID]
+    return request.param, np.array([qubit_only_fidelity(p, (10.0, 50.0)) for p in cases])
 
 
-def test_criterion_08_qubit_only_model_follows_figures(fig3b_csv, fig4_csv, qubit_only_fig4a):
+def test_criterion_08_qubit_only_model_follows_figures(fig3b_csv, fig4_csv, qubit_only_fig4):
     # the island eliminated to zeroth order (tests/test_qubit_model.py) gives
-    # F of psi1-psi3 at t = 10 and 50 at the fig3b and fig4a parameters
+    # F of psi1-psi3 at t = 10 and 50 at the fig3b parameters and at each
+    # eta of the case's fig4 sweep
     tol = 5e-3
-    fig4a_t10 = parse_csv(run_eta_figure("fig4a", t_end=10.0))
+    case, q4 = qubit_only_fig4
+    fig = FIG4[case]
+    fig4_t10 = parse_csv(run_eta_figure(fig, t_end=10.0))
     rows = [int(np.argmin(np.abs(fig3b_csv["t"] - t))) for t in (10.0, 50.0)]
     base = ModelParams.uniform(4, zeta=0.2)
     gaps = {}
-    for case in ("case_i", "case_ii", "case_iii"):
-        full = np.array([[fig3b_csv[f"{s}_{case}"][r] for s in DF4] for r in rows])
-        q = qubit_only_fidelity(apply_scenario(base, case, 0.05), (10.0, 50.0))
-        gaps[f"fig3b {case}"] = float(np.abs(full - q).max())
+    for fig3b_case in ("case_i", "case_ii", "case_iii"):
+        full = np.array([[fig3b_csv[f"{s}_{fig3b_case}"][r] for s in DF4] for r in rows])
+        q = qubit_only_fidelity(apply_scenario(base, fig3b_case, 0.05), (10.0, 50.0))
+        gaps[f"fig3b {fig3b_case}"] = float(np.abs(full - q).max())
     for i, eta in enumerate(ETA_GRID):
-        full = np.array([[fig4a_t10[s][i] for s in DF4], [fig4_csv["case_ii"][s][i] for s in DF4]])
-        gaps[f"fig4a eta={eta:g}"] = float(np.abs(full - qubit_only_fig4a[i]).max())
+        full = np.array([[fig4_t10[s][i] for s in DF4], [fig4_csv[case][s][i] for s in DF4]])
+        gaps[f"{fig} eta={eta:g}"] = float(np.abs(full - q4[i]).max())
     worst = max(gaps.values())
     ok = worst <= tol
     report(
-        "criterion-8 qubit-only model against fig3b and fig4a, t=10 and 50",
+        f"criterion-8 qubit-only model against fig3b and {fig}, t=10 and 50",
         ok,
         "max|dF| " + ", ".join(f"{k}: {v:.1e}" for k, v in gaps.items()),
     )
     assert ok, f"qubit-only F off by {worst:.2e} > {tol:g}"
 
 
-def test_criterion_08_qubit_only_psi1_sweep_follows_fig4a(fig4_csv, qubit_only_fig4a):
-    # without the island's memory, psi1's fig4a sweep at t = 50 rises and
+def test_criterion_08_qubit_only_psi1_sweep_follows_fig4(fig4_csv, qubit_only_fig4):
+    # without the island's memory, psi1's fig4 sweep at t = 50 rises and
     # falls at the same steps
-    f, full = qubit_only_fig4a[:, 1, 0], fig4_csv["case_ii"]["psi1"]
+    case, q4 = qubit_only_fig4
+    f, full = q4[:, 1, 0], fig4_csv[case]["psi1"]
     steps, full_steps = np.diff(f), np.diff(full)
     ok = bool(np.all(np.sign(steps) == np.sign(full_steps)))
     report(
-        "criterion-8 qubit-only psi1 sweep against fig4a, t=50",
+        f"criterion-8 qubit-only psi1 sweep against {FIG4[case]}, t=50",
         ok,
-        f"F=[{', '.join('%.4f' % v for v in f)}], fig4a [{', '.join('%.4f' % v for v in full)}]",
+        f"F=[{', '.join('%.4f' % v for v in f)}], {FIG4[case]} "
+        f"[{', '.join('%.4f' % v for v in full)}]",
     )
-    assert ok, f"qubit-only steps {steps} against fig4a's {full_steps}"
+    assert ok, f"qubit-only steps {steps} against {FIG4[case]}'s {full_steps}"
 
 
 def test_criterion_08_fig4_eta0_below_one(fig4_csv):

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim import integrator
+from qdfsim.cli import RunConfig, execute_run
 from qdfsim.integrator import (
     REAL_FORM_TOL,
     Collect,
@@ -36,6 +38,12 @@ def collect(run, *args, **kwargs) -> Collect:
     out = Collect()
     run(*args, **kwargs, sink=out)
     return out
+
+
+def fig_style_n5_state() -> str:
+    """The seeded ``custom:`` state of the fig-style N = 5 runs below."""
+    amps = np.random.default_rng(5).normal(size=(32, 2)) @ [1.0, 1j]
+    return "custom:" + ",".join(repr(complex(a)) for a in amps)
 
 
 def bell_setup(zeta=0.2):
@@ -76,9 +84,8 @@ class TestSampling:
         # blocks are the samples a 32 MiB block holds whole
         if run == "fig_style_n5":
             p = ModelParams.uniform(5, zeta=0.2, epsilon=0.1, j_coupling=0.05)
-            amps = np.random.default_rng(5).normal(size=(32, 2)) @ [1.0, 1j]
-            spec = "custom:" + ",".join(repr(complex(a)) for a in amps)
-            v0, t_end = to_density(parse_custom(spec, 5)).flatten(SECTORS_REDUCED), 10.0
+            amps = parse_custom(fig_style_n5_state(), 5)
+            v0, t_end = to_density(amps).flatten(SECTORS_REDUCED), 10.0
         else:
             p = apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05)
             v0 = np.stack(
@@ -100,6 +107,24 @@ class TestSampling:
         whole = collect(evolve_rk4, g, v0, t_end, 1e-3, 0.1)
         assert np.array_equal(blocks.times, whole.times)
         assert np.array_equal(blocks.states, whole.states)
+
+    def test_run_memory_is_bounded(self):
+        # the fig-style N = 5 run above, through execute_run, traces at most
+        # 7 MiB: the build, the Krylov loop, one sample block and the
+        # reduction's block-sized temporaries (5.5 MiB; 9.5 MiB with 4 MiB
+        # blocks).  A run that kept its samples or copies of its generator
+        # would fail it.
+        cfg = RunConfig(
+            n_qubits=5, state=fig_style_n5_state(), epsilon=[0.1] * 5, j_coupling=[0.05] * 4,
+            t_end=10.0,
+        )
+        tracemalloc.start()
+        try:
+            execute_run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_grid_validation(self):
         _, g, _, v0 = bell_setup()
