@@ -24,8 +24,6 @@ from . import analysis, baseline, states
 from .integrator import (
     REAL_FORM_TOL,
     Collect,
-    _evolve_krylov,
-    _evolve_propagator,
     _evolve_stepwise,
     _sample_grid,
     evolve_expm,
@@ -201,8 +199,9 @@ def _first_breach(
     """(index, description) of the first sample that is not finite or leaves
     [lo, hi], or None.
 
-    A stable RK4 run keeps these bounds to rounding, so a breach means ``dt``
-    lies outside the stability region of the generator.
+    A stable, accurate RK4 run keeps these bounds to rounding, so a breach
+    means ``dt`` lies outside the stability region of the generator, or that
+    RK4's truncation error at a stable ``dt`` carries a sample out of bounds.
     """
     bad = np.argwhere(~(np.isfinite(values) & (values >= lo) & (values <= hi)))
     if not len(bad):
@@ -275,7 +274,7 @@ def run_states(
             analysis.fidelity_series(times[:end], f[:end], amps, omega_prime)
             for f, amps in zip(flats, amp_list)
         ]
-        breaches += [_first_breach(times, "F", f, -np.inf, 1.0 + _GATE_TOL) for f in fids]
+        breaches += [_first_breach(times, "F", f, -_GATE_TOL, 1.0 + _GATE_TOL) for f in fids]
         found = [b for b in breaches if b]
         if found:  # the earliest sample; min keeps the first listed of equal ones
             first = min(found, key=lambda b: b[0])
@@ -526,32 +525,26 @@ def run_verify() -> list[Check]:
     # premise of the real-coordinate RK4 routes: S L S^-1 is real
     checks.append(Check("real_form_n4", real_form(red4).imag_residual, REAL_FORM_TOL))
 
-    # the route of every N = 4 figure group (all but fig2's two N = 2 groups,
-    # which take the dense propagator): Krylov-projected RK4 against the dense
-    # propagator on fig3b's case-ii group (psi1-psi3 as one batch), over 3
-    # samples of 100 steps
+    # evolve_rk4, the path every run takes, against the four-stage loop that
+    # defines the scheme: fig3b's case-ii group (psi1-psi3 as one batch) over
+    # 3 samples of 100 steps, and a seeded biased, coupled N = 5 state over 2
     g4 = reduced_generator(apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05))
     v4 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in df4.values()], axis=1)
-    krylov, dense = Collect(), Collect()
-    _evolve_krylov(g4, v4, 3, 100, 1e-3, krylov)
-    _evolve_propagator(g4, v4, 3, 100, 1e-3, dense)
-    defect = float(np.abs(krylov.states - dense.states).max())
-    checks.append(Check("krylov_route_n4", defect, 1e-12))
-
-    # the route of every N >= 5 run: Krylov-projected RK4 against the plain
-    # stepwise loop, over 2 samples of 100 steps
     p5 = ModelParams.uniform(
         5, zeta=0.2, epsilon=[0.3, -0.2, 0.1, -0.4, 0.25], j_coupling=[0.1, -0.2, 0.15, 0.05]
     )
-    g5 = reduced_generator(p5)
     rng = np.random.default_rng(7)
     amps5 = rng.normal(size=32) + 1j * rng.normal(size=32)
     v5 = states.to_density(amps5 / np.linalg.norm(amps5)).flatten(SECTORS_REDUCED)
-    krylov, stepwise = Collect(), Collect()
-    _evolve_krylov(g5, v5, 2, 100, 1e-3, krylov)
-    _evolve_stepwise(g5, v5, 2, 100, 1e-3, stepwise)
-    defect = float(np.abs(krylov.states - stepwise.states).max())
-    checks.append(Check("krylov_route_n5", defect, 1e-12))
+    for name, g, v0, n_samples in (
+        ("krylov_route_n4", g4, v4, 3),
+        ("krylov_route_n5", reduced_generator(p5), v5, 2),
+    ):
+        routed, stepwise = Collect(), Collect()
+        evolve_rk4(g, v0, n_samples * 0.1, 1e-3, 0.1, routed)
+        _evolve_stepwise(g, v0, n_samples, 100, 1e-3, stepwise)
+        defect = float(np.abs(routed.states - stepwise.states).max())
+        checks.append(Check(name, defect, 1e-12))
 
     return checks
 

@@ -75,8 +75,8 @@ _DENSE_LIMIT = 4096
 _KRYLOV_MIN_DIM = 768
 # Runs below that dimension of at most this many total steps take the plain
 # sparse loop.  It is not the faster route (at N = 2 over 500-2,500 steps it
-# takes 14-67 ms, the dense propagator 1-2 ms); it stays only for the
-# benchmark's stepwise span.
+# takes 14-67 ms, the dense propagator 1-2 ms); it stays for the benchmark's
+# stepwise span and as the reference `qdfsim verify` checks evolve_rk4 against.
 _STEPWISE_CUTOFF = 2500
 # Krylov route: largest basis, error bound per chunk relative to |x|, and the
 # bound on (steps per chunk) * dt * ||L_r||_inf.

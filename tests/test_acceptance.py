@@ -42,6 +42,8 @@ decomposition of the psi1 sweep beside them.
   the island's memory.
 """
 
+import functools
+import hashlib
 import time
 from dataclasses import replace
 
@@ -53,6 +55,7 @@ from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim.baseline import baseline_fidelity
 from qdfsim.cli import (
     ETA_GRID,
+    FIGURES,
     RunConfig,
     execute_run,
     run_eta_figure,
@@ -90,19 +93,35 @@ def batch_evolve(n: int, names, zeta: float, t_end=50.0, dt=1e-3, si=0.1):
     return p, amps, traj
 
 
+@functools.cache
+def figure_text(name: str) -> str:
+    """CSV text of a figure at t_end 50, as `qdfsim figure` writes it; built once."""
+    return run_eta_figure(name) if name.startswith("fig4") else run_time_figure(name)
+
+
+# SHA-256 of each figure's CSV at t_end 50: the figures move only on purpose
+FIGURE_SHA256 = {
+    "fig2": "2ff0f414d51057df297aa8192668fb341e6f286b121bfdb12f1393533f3a75f7",
+    "fig3a": "eca82a4ea5127cd3a21dbd67620f7a0f0d9644d3a00012a0818edf6006a4de11",
+    "fig3b": "b9ff3c8200d93126476485cf485fe2ef86c5f406ae40665d55e131b9aa3b9e47",
+    "fig4a": "8f41942c7e25ee7ea8bb417b690ff4a14cb47c4f535e6215e112056df4497910",
+    "fig4b": "66b4c940a8ea0b7f2da82fbc29c6e979c2f156cc3c74a7de7041c714755a6cda",
+}
+
+
 @pytest.fixture(scope="module")
 def fig2_csv() -> dict[str, np.ndarray]:
-    return parse_csv(run_time_figure("fig2"))
+    return parse_csv(figure_text("fig2"))
 
 
 @pytest.fixture(scope="module")
 def fig3b_csv() -> dict[str, np.ndarray]:
-    return parse_csv(run_time_figure("fig3b"))
+    return parse_csv(figure_text("fig3b"))
 
 
 @pytest.fixture(scope="module")
 def fig4_csv() -> dict[str, dict[str, np.ndarray]]:
-    return {case: parse_csv(run_eta_figure(fig)) for fig, case in
+    return {case: parse_csv(figure_text(fig)) for fig, case in
             (("fig4a", "case_ii"), ("fig4b", "case_iii"))}
 
 
@@ -485,3 +504,9 @@ def test_criterion_10_determinism(tmp_path):
     ok = a == b
     report("criterion-10 determinism", ok, f"fig2.csv bytes equal: {ok} ({len(a)} bytes)")
     assert ok
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_figure_bytes_at_t50(name):
+    digest = hashlib.sha256(figure_text(name).encode()).hexdigest()
+    assert digest == FIGURE_SHA256[name], f"{name}.csv at t_end 50 changed: sha256 {digest}"

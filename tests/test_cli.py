@@ -267,8 +267,19 @@ class TestCommands:
                 '"sample_interval": 0.5, "omega": 1e200}',
                 "0.5",
             ),
+            # F = -0.0120 at t = 14 with trace error <= 2.9e-15 and populations in
+            # [0, 1]; the same run at dt = 1e-3 reads F = +0.0527 there
+            (
+                '{"n_qubits": 2, "state": "custom:0.894925+0.300631j,-0.286859-0.614735j,'
+                '-2.185117-1.296952j,0.600050-1.340785j", "omega": 1.5596642530654687, '
+                '"epsilon": [0.08254590541219775, -0.973298131793864], '
+                '"j_coupling": [-0.4299874535720134], "zeta": 0.0752335844163212, '
+                '"primed_scale": 2.0468312344361657, "t_end": 20.0, "dt": 0.25, '
+                '"sample_interval": 1.0}',
+                "0.25",
+            ),
         ],
-        ids=["populations", "trace", "overflow"],
+        ids=["populations", "trace", "overflow", "negative_fidelity"],
     )
     def test_unstable_dt_exit_two(self, tmp_path, text, dt):
         cfg_file = tmp_path / "unstable.json"
@@ -586,6 +597,26 @@ class TestCommands:
                             ("full_n4", "2.220e-16"), ("reduced_n4", "2.220e-16")):
             line = f"PASS trace_identity_{name}: measured={value} tolerance=1.0e-12"
             assert line in result.output.splitlines()
+
+    def test_verify_certifies_the_routed_path(self, monkeypatch):
+        # a Krylov route that is off by 1e-10 where evolve_rk4 looks it up
+        # fails both route checks and nothing else
+        from qdfsim import integrator
+
+        krylov = integrator._evolve_krylov
+
+        def off(g, v0, n_intervals, steps_per_sample, dt, sink):
+            scaled = lambda times, block: sink(times, block * (1 + 1e-10))  # noqa: E731
+            krylov(g, v0, n_intervals, steps_per_sample, dt, scaled)
+
+        monkeypatch.setattr(integrator, "_evolve_krylov", off)
+        result = CliRunner().invoke(main, ["verify"])
+        assert result.exit_code == 1, result.output
+        lines = result.stdout.splitlines()
+        assert len(lines) == 15
+        failed = [line.split(":")[0] for line in lines if not line.startswith("PASS ")]
+        assert failed == ["FAIL krylov_route_n4", "FAIL krylov_route_n5"]
+        assert result.stderr == "2 of 15 checks failed\n"
 
 
 class TestFigures:
