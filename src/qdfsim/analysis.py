@@ -20,10 +20,17 @@ def qubit_dm_from_flat(vec: np.ndarray, d: int) -> np.ndarray:
 
 
 def rotation_frequencies(p: ModelParams) -> np.ndarray:
-    """Per-qubit rotating-frame frequencies sqrt(omega_i^2 + epsilon_i^2 / 4)."""
+    """Per-qubit rotating-frame frequencies sqrt(omega_i^2 + epsilon_i^2 / 4).
+
+    Where the squares overflow, hypot(omega_i, epsilon_i / 2) gives the
+    frequency instead; elsewhere the sum of squares is kept, since hypot can
+    differ from it in the last bit.
+    """
     w = np.asarray(p.omega)
     e = np.asarray(p.epsilon)
-    return np.sqrt(w * w + 0.25 * e * e)
+    with np.errstate(over="ignore"):
+        direct = np.sqrt(w * w + 0.25 * e * e)
+    return np.where(np.isfinite(direct), direct, np.hypot(w, 0.5 * e))
 
 
 def fidelity_series(

@@ -53,6 +53,16 @@ class ConfigError(click.ClickException):
     exit_code = 2
 
 
+@contextmanager
+def _refused(prefix: str = "", errors: type | tuple[type, ...] = ValueError):
+    """Turn an error of the kinds ``errors`` raised in the block into a
+    one-line exit 2: the prefix, then the error's message."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(prefix + str(exc)) from exc
+
+
 @dataclass
 class RunConfig:
     """One simulation run; field defaults reproduce the figure settings."""
@@ -114,15 +124,13 @@ def _coerce(value, annotation, path: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration; unknown fields are errors."""
-    try:
+    with _refused("config is not valid JSON: ", json.JSONDecodeError):
         raw = json.loads(
             text,
             parse_constant=_reject_constant,
             parse_float=lambda t: float(_finite(t)),
             parse_int=lambda t: int(_finite(t)),
         )
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     for key in raw:
@@ -152,16 +160,14 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"eta: scenario {cfg.scenario!r} names no affected qubits, so eta must be 0"
         )
-    try:
+    with _refused("t_end/dt/sample_interval: "):
         _sample_grid(cfg.t_end, cfg.dt, cfg.sample_interval)
-    except ValueError as exc:
-        raise ConfigError(f"t_end/dt/sample_interval: {exc}") from exc
 
 
 def config_params(cfg: RunConfig) -> tuple[ModelParams, ModelParams]:
     """(base, scenario-applied) model parameters of a run configuration."""
     barriers = cfg.barriers or {}
-    try:
+    with _refused():
         base = ModelParams.uniform(
             cfg.n_qubits,
             omega=cfg.omega,
@@ -173,8 +179,6 @@ def config_params(cfg: RunConfig) -> tuple[ModelParams, ModelParams]:
             right_barrier=barriers.get("right"),
         )
         effective = apply_scenario(base, cfg.scenario, cfg.eta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return base, effective
 
 
@@ -247,18 +251,14 @@ def run_states(
     """
     _check_generator_size(cfg.n_qubits)
     base, params = config_params(cfg)
-    try:
+    with _refused("state: "):
         amp_list = [states.state_by_name(name, cfg.n_qubits) for name in state_names]
-    except ValueError as exc:
-        raise ConfigError(f"state: {exc}") from exc
-    try:
+    with _refused():  # the trace or finite-entry check of the generator
         g = reduced_generator(params)
-    except ValueError as exc:  # the trace or finite-entry check of the generator
-        raise ConfigError(str(exc)) from exc
     v0 = np.stack([states.to_density(a).flatten(SECTORS_REDUCED) for a in amp_list], axis=1)
     d = 2**cfg.n_qubits
-    with np.errstate(over="ignore", invalid="ignore"):
-        omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
+    omega_prime = analysis.rotation_frequencies(base if baseline_frame else params)
+    unstable = f"dt={cfg.dt:g} is unstable for this run: "
     kept = [[] for _ in amp_list]  # (times, F, trace_err, pops) of each block, per state
 
     def reduce(times: np.ndarray, block: np.ndarray) -> None:
@@ -278,16 +278,13 @@ def run_states(
         found = [b for b in breaches if b]
         if found:  # the earliest sample; min keeps the first listed of equal ones
             first = min(found, key=lambda b: b[0])
-            raise ConfigError(f"dt={cfg.dt:g} is unstable for this run: {first[1]}")
+            raise ConfigError(unstable + first[1])
         for col, reduced in enumerate(zip(fids, trace_err, pops)):
             kept[col].append((times, *reduced))
 
-    try:
-        # an overflow surfaces as the FloatingPointError below, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            evolve_rk4(g, v0, cfg.t_end, cfg.dt, cfg.sample_interval, reduce)
-    except FloatingPointError as exc:
-        raise ConfigError(f"dt={cfg.dt:g} is unstable for this run: {exc}") from exc
+    # an overflow surfaces as evolve_rk4's FloatingPointError, not as warnings
+    with _refused(unstable, FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+        evolve_rk4(g, v0, cfg.t_end, cfg.dt, cfg.sample_interval, reduce)
     return [RunResult(*map(np.concatenate, zip(*blocks))) for blocks in kept]
 
 
@@ -554,20 +551,9 @@ def run_verify() -> list[Check]:
 
 
 def _read_config(path: str) -> RunConfig:
-    try:
+    with _refused(f"cannot read config {path}: ", (OSError, UnicodeDecodeError)):
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
-
-
-@contextmanager
-def _writing_output():
-    """Turn an OSError of writing the output into a one-line exit 2."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -575,7 +561,7 @@ def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
         click.echo(text, nl=False)
         return
-    with _writing_output():
+    with _refused("cannot write output: ", OSError):
         Path(out_path).write_text(text)
     click.echo(f"wrote {out_path}")
 
@@ -607,7 +593,7 @@ def simulate(config_path: str, baseline_frame: bool) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def figure(name: str, out_dir: str) -> None:
     """Reproduce one of the named figure datasets (CSV + plot script)."""
-    with _writing_output():
+    with _refused("cannot write output: ", OSError):
         path = write_figure(name, Path(out_dir))
     click.echo(f"wrote {path}")
 
@@ -622,16 +608,12 @@ def baseline_cmd(
     state_name: str, gamma_d: float, t_end: float, sample_interval: float, out_path: str | None
 ) -> None:
     """Analytic collective-dephasing fidelity of a named state."""
-    try:
+    with _refused("--t-end/--sample-interval: "):
         n_intervals, _ = _sample_grid(t_end, sample_interval, sample_interval)
-    except ValueError as exc:
-        raise ConfigError(f"--t-end/--sample-interval: {exc}") from exc
-    try:
+    with _refused():
         amps = states.state_by_name(state_name, states.qubit_count(state_name))
         times = np.arange(n_intervals + 1) * sample_interval
         fid = baseline.baseline_fidelity(amps, gamma_d, times)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _emit(_csv("t,F", zip(times, fid)), out_path)
 
 
@@ -659,10 +641,8 @@ def dump_generator(config_path: str, dump_full: bool) -> None:
     cfg = _read_config(config_path)
     _check_generator_size(cfg.n_qubits)
     _, params = config_params(cfg)
-    try:
+    with _refused():  # the trace or finite-entry check of the generator
         g = assemble(params, SECTORS_FULL if dump_full else SECTORS_REDUCED)
-    except ValueError as exc:  # the trace or finite-entry check of the generator
-        raise ConfigError(str(exc)) from exc
     click.echo(g.dump(), nl=False)
 
 

@@ -69,6 +69,12 @@ class TestRotatingFrame:
         p = ModelParams.uniform(2, omega=2.0, epsilon=1.0)
         assert np.allclose(rotation_frequencies(p), np.sqrt(4.25), atol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frequencies_past_the_squares_float_range(self):
+        # omega^2 and epsilon^2 overflow; the frequencies themselves do not
+        p = ModelParams.uniform(2, omega=1e200, epsilon=[0.0, 4e200])
+        assert np.allclose(rotation_frequencies(p), [1e200, np.sqrt(5.0) * 1e200], rtol=1e-15)
+
     def test_single_qubit_free_evolution_is_frozen(self):
         # closed-form 2x2 oracle: U = cos(w t) I - i sin(w t) sigma_x
         w = 1.7

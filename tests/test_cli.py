@@ -290,6 +290,25 @@ class TestCommands:
         (line,) = result.output.strip().splitlines()
         assert line.startswith(f"Error: dt={dt} is unstable")
 
+    def test_frame_frequency_past_float_range(self, tmp_path):
+        # omega^2 overflows, but the frame frequency does not: at dt * omega =
+        # 1e-3 the run is stable and bell-c keeps F = 1, while at dt = 0.5 the
+        # refusal names the integration step that overflows, not F at t = 0
+        cfg = {"n_qubits": 2, "state": "bell-c", "omega": 1e200, "t_end": 4e-200}
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({**cfg, "dt": 1e-203, "sample_interval": 1e-200}))
+        stable = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert stable.exit_code == 0, stable.output
+        f = np.array([float(row.split(",")[1]) for row in stable.output.splitlines()[1:]])
+        assert len(f) == 5 and np.abs(f - 1.0).max() <= 1e-9
+        cfg_file.write_text(json.dumps({**cfg, "t_end": 1, "dt": 0.5, "sample_interval": 0.5}))
+        unstable = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert unstable.exit_code == 2
+        assert unstable.output.splitlines() == [
+            "Error: dt=0.5 is unstable for this run: integration produced a non-finite value "
+            "at step 1; largest finite entry 8.862e+197"
+        ]
+
     def test_baseline_command(self):
         result = CliRunner().invoke(
             main,
@@ -617,6 +636,93 @@ class TestCommands:
         failed = [line.split(":")[0] for line in lines if not line.startswith("PASS ")]
         assert failed == ["FAIL krylov_route_n4", "FAIL krylov_route_n5"]
         assert result.stderr == "2 of 15 checks failed\n"
+
+
+_N2 = '{"n_qubits": 2, "state": "bell-b", '
+_BASELINE = ["baseline", "--state", "bell-b", "--gamma-d", "0.3"]
+
+# One row for each place where cli turns an expected error into exit 2: the
+# arguments, the bytes of the config file at {cfg} (a file in the test's
+# directory {tmp}) and the one line printed.
+REFUSALS = {
+    "json": (
+        ["simulate", "--config", "{cfg}"],
+        b"{bad",
+        "config is not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    "config_read": (
+        ["simulate", "--config", "{cfg}"],
+        b'{"state": "\xff"}',
+        "cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff in position 11: "
+        "invalid start byte",
+    ),
+    "run_grid": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"t_end": 1, "sample_interval": 0.3}').encode(),
+        "t_end/dt/sample_interval: sample_interval=0.3 must divide t_end=1.0",
+    ),
+    "config_params": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"barriers": {"left": [1, 2]}}').encode(),
+        "both barriers need at least one qubit",
+    ),
+    "state": (
+        ["simulate", "--config", "{cfg}"],
+        b'{"n_qubits": 2, "state": "psi1"}',
+        "state: state 'psi1' requires n_qubits=4, got 2",
+    ),
+    "run_generator": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"primed_scale": 1e308}').encode(),
+        "generator has a non-finite entry",
+    ),
+    "dump_generator": (
+        ["dump-generator", "--config", "{cfg}"],
+        (_N2 + '"primed_scale": 1e308}').encode(),
+        "generator has a non-finite entry",
+    ),
+    "rk4_overflow": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"t_end": 1, "dt": 0.5, "sample_interval": 0.5, "omega": 1e150}').encode(),
+        "dt=0.5 is unstable for this run: integration produced a non-finite value at step 1; "
+        "largest finite entry 2.092e+298",
+    ),
+    "emit_output": (
+        _BASELINE + ["--out", "{tmp}/missing/x.csv"],
+        b"",
+        "cannot write output: [Errno 2] No such file or directory: '{tmp}/missing/x.csv'",
+    ),
+    "figure_output": (
+        ["figure", "fig2", "--out", "{cfg}/sub"],
+        b"",
+        "cannot write output: [Errno 20] Not a directory: '{cfg}/sub'",
+    ),
+    "baseline_grid": (
+        _BASELINE + ["--t-end", "1", "--sample-interval", "0.3"],
+        b"",
+        "--t-end/--sample-interval: sample_interval=0.3 must divide t_end=1.0",
+    ),
+    "baseline_state": (
+        ["baseline", "--state", "psi9", "--gamma-d", "0.3"],
+        b"",
+        "unknown state 'psi9'",
+    ),
+    "baseline_fidelity": (
+        ["baseline", "--state", "bell-b", "--gamma-d", "-1"],
+        b"",
+        "dephasing rate must be finite and non-negative, got -1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, config, line", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_lines(tmp_path, args, config, line):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(config)
+    result = CliRunner().invoke(main, [a.format(cfg=cfg, tmp=tmp_path) for a in args])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == ["Error: " + line.format(cfg=cfg, tmp=tmp_path)]
 
 
 class TestFigures:

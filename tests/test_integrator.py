@@ -30,7 +30,7 @@ from qdfsim.liouvillian import (
 from qdfsim.model import ModelParams, apply_scenario
 from qdfsim.states import DF4_NAMES, parse_custom, state_by_name, to_density
 
-from conftest import complex_rk4, eig_propagate
+from conftest import complex_rk4, complex_rk4_sparse, eig_propagate
 
 
 def collect(run, *args, **kwargs) -> Collect:
@@ -329,15 +329,13 @@ class TestKrylovRoute:
         # one 50,000-step interval spans many chunks of the Krylov route
         assert 50.0 * np.abs(real_form(g).l_r).sum(axis=1).max() > 10 * integrator._KRYLOV_CHUNK_NORM
         a = collect(_evolve_krylov, g, v0, 1, 50_000, 1e-3).states
-        b = collect(_evolve_propagator, g, v0, 1, 50_000, 1e-3).states
-        assert np.abs(a - b).max() <= 1e-12
+        assert np.abs(a - complex_rk4(g.csr, v0, 1, 50_000, 1e-3)).max() <= 1e-12
 
     def test_five_qubits_match_stepwise(self):
         g, v0 = n5_setup()
         assert g.dim == 3072
         a = collect(_evolve_krylov, g, v0, 20, 100, 1e-3).states
-        b = collect(_evolve_stepwise, g, v0, 20, 100, 1e-3).states
-        assert np.abs(a - b).max() <= 1e-12
+        assert np.abs(a - complex_rk4_sparse(g.csr, v0, 20, 100, 1e-3)).max() <= 1e-12
 
     def test_fig_grid_four_qubits_matches_propagator(self):
         # a fig3b group on the Krylov route, which every figure takes: t 50,
@@ -349,8 +347,7 @@ class TestKrylovRoute:
             axis=1,
         )
         a = collect(_evolve_krylov, g, v0, 500, 100, 1e-3).states
-        b = collect(_evolve_propagator, g, v0, 500, 100, 1e-3).states
-        assert np.abs(a - b).max() <= 1e-11
+        assert np.abs(a - complex_rk4(g.csr, v0, 500, 100, 1e-3)).max() <= 1e-11
 
     @staticmethod
     def _spy(monkeypatch, name, log, entry):
@@ -376,8 +373,7 @@ class TestKrylovRoute:
         self._spy(monkeypatch, "_rk4_power", pieces, lambda h, dt, m: m)
         a = collect(_evolve_krylov, g, v0, 4, 500, 1e-3).states
         assert min(pieces) < 500
-        b = collect(_evolve_propagator, g, v0, 4, 500, 1e-3).states
-        assert np.abs(a - b).max() <= 1e-12
+        assert np.abs(a - complex_rk4(g.csr, v0, 4, 500, 1e-3)).max() <= 1e-12
 
     def test_halving_is_local_to_the_failed_basis(self, monkeypatch):
         # the first basis is cut to six vectors, too few for one sample of 100
@@ -402,7 +398,7 @@ class TestKrylovRoute:
         assert len(pieces) >= 3
         assert pieces[0][0] == 100 and min(pieces[0]) < 100
         assert all(max(tried) == 100 for tried in pieces[2:])
-        assert np.abs(a - collect(_evolve_stepwise, g, v0, 20, 100, 1e-3).states).max() <= 1e-12
+        assert np.abs(a - complex_rk4_sparse(g.csr, v0, 20, 100, 1e-3)).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -415,7 +411,7 @@ class TestKrylovRoute:
         # walks real projections, long samples in several pieces
         g, v0 = _small_generators()[n]
         a = collect(_evolve_krylov, g, v0, n_intervals, steps_per_sample, 1e-3).states
-        b = collect(_evolve_propagator, g, v0, n_intervals, steps_per_sample, 1e-3).states
+        b = complex_rk4(g.csr, v0, n_intervals, steps_per_sample, 1e-3)
         assert np.abs(a - b).max() <= 1e-11
 
     def test_zero_column_and_happy_breakdown(self):
