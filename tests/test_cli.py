@@ -255,17 +255,26 @@ class TestCommands:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
-        "text, dt",
+        "text, reason",
         [
             # F = 80611.9 and pop_b = -3.6e6 at t = 1 without the gate
-            ('{"t_end": 1, "dt": 0.5, "sample_interval": 0.5, "zeta": 0.9, "primed_scale": 50}', "0.5"),
-            # trace error 5e-9 at t = 4; F(t) failed its unit-trace check later
-            ('{"dt": 0.25, "sample_interval": 0.5, "t_end": 10}', "0.25"),
-            # overflows to a non-finite state in the first step
+            (
+                '{"t_end": 1, "dt": 0.5, "sample_interval": 0.5, "zeta": 0.9, "primed_scale": 50}',
+                "dt=0.5 is unstable for this run: pop_b=-195.013 at t=0.5",
+            ),
+            # trace error 5e-9 at t = 4 and F(t) failed its unit-trace check later
+            # without the gate, which names the earlier population breach
+            (
+                '{"dt": 0.25, "sample_interval": 0.5, "t_end": 10}',
+                "dt=0.25 is unstable for this run: pop_b=-0.462867 at t=3.5",
+            ),
+            # overflows to a non-finite state in the first step; omega^2 is
+            # past the float range, the frame frequency is not
             (
                 '{"n_qubits": 2, "state": "bell-b", "t_end": 1, "dt": 0.5, '
                 '"sample_interval": 0.5, "omega": 1e200}',
-                "0.5",
+                "dt=0.5 is unstable for this run: integration produced a non-finite value at "
+                "step 1; largest finite entry 9.138e+197",
             ),
             # F = -0.0120 at t = 14 with trace error <= 2.9e-15 and populations in
             # [0, 1]; the same run at dt = 1e-3 reads F = +0.0527 there
@@ -276,38 +285,31 @@ class TestCommands:
                 '"j_coupling": [-0.4299874535720134], "zeta": 0.0752335844163212, '
                 '"primed_scale": 2.0468312344361657, "t_end": 20.0, "dt": 0.25, '
                 '"sample_interval": 1.0}',
-                "0.25",
+                "dt=0.25 is unstable for this run: F=-0.0120027 at t=14",
             ),
         ],
         ids=["populations", "trace", "overflow", "negative_fidelity"],
     )
-    def test_unstable_dt_exit_two(self, tmp_path, text, dt):
+    def test_unstable_dt_exit_two(self, tmp_path, text, reason):
         cfg_file = tmp_path / "unstable.json"
         cfg_file.write_text(text)
         result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
         assert result.exit_code == 2
-        assert "Traceback" not in result.output
-        (line,) = result.output.strip().splitlines()
-        assert line.startswith(f"Error: dt={dt} is unstable")
+        assert result.output.splitlines() == [f"Error: {reason}"]
 
     def test_frame_frequency_past_float_range(self, tmp_path):
         # omega^2 overflows, but the frame frequency does not: at dt * omega =
-        # 1e-3 the run is stable and bell-c keeps F = 1, while at dt = 0.5 the
-        # refusal names the integration step that overflows, not F at t = 0
-        cfg = {"n_qubits": 2, "state": "bell-c", "omega": 1e200, "t_end": 4e-200}
+        # 1e-3 the run is stable and bell-c, which the detector leaves alone,
+        # keeps F = 1
         cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({**cfg, "dt": 1e-203, "sample_interval": 1e-200}))
-        stable = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
-        assert stable.exit_code == 0, stable.output
-        f = np.array([float(row.split(",")[1]) for row in stable.output.splitlines()[1:]])
+        cfg_file.write_text(
+            '{"n_qubits": 2, "state": "bell-c", "omega": 1e200, "t_end": 4e-200, '
+            '"dt": 1e-203, "sample_interval": 1e-200}'
+        )
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert result.exit_code == 0, result.output
+        f = np.array([float(row.split(",")[1]) for row in result.output.splitlines()[1:]])
         assert len(f) == 5 and np.abs(f - 1.0).max() <= 1e-9
-        cfg_file.write_text(json.dumps({**cfg, "t_end": 1, "dt": 0.5, "sample_interval": 0.5}))
-        unstable = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
-        assert unstable.exit_code == 2
-        assert unstable.output.splitlines() == [
-            "Error: dt=0.5 is unstable for this run: integration produced a non-finite value "
-            "at step 1; largest finite entry 8.862e+197"
-        ]
 
     def test_baseline_command(self):
         result = CliRunner().invoke(
