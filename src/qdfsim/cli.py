@@ -142,20 +142,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    n = cfg.n_qubits
-    if n < 2:
-        raise ConfigError("n_qubits: must be >= 2")
-    for name, want in (("epsilon", n), ("j_coupling", n - 1)):
-        lst = getattr(cfg, name)
-        if lst is not None and len(lst) != want:
-            raise ConfigError(f"{name}: expected length {want}, got {len(lst)}")
-    if not 0.0 <= cfg.zeta < 1.0:
+    """The config's own policies; ``config_params`` checks the model's rules."""
+    _check_generator_size(cfg.n_qubits)  # before a model of that size is built
+    if not 0.0 <= cfg.zeta < 1.0:  # the model admits a negative zeta
         raise ConfigError(f"zeta: must lie in [0, 1), got {cfg.zeta}")
-    if not 0.0 <= cfg.eta < 1.0:
-        raise ConfigError(f"eta: must lie in [0, 1), got {cfg.eta}")
-    if cfg.scenario not in CASE_AFFECTED:
-        names = ", ".join(CASE_AFFECTED)
-        raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}; expected one of {names}")
+    config_params(cfg)
     if cfg.eta > 0.0 and not CASE_AFFECTED[cfg.scenario]:
         raise ConfigError(
             f"eta: scenario {cfg.scenario!r} names no affected qubits, so eta must be 0"
@@ -351,14 +342,14 @@ def _run_grouped(series: Series, t_end: float, si: float) -> dict[str, RunResult
     per usable core; each group is the same batch as in one process, so the
     bytes are the same.  Workers are forked, not spawned: a spawned worker
     re-imports numpy and scipy (about 0.5 s), which costs more than a figure
-    group (about 0.1 s at N = 4, t_end 50).  With one worker, or where fork
-    is unavailable, the groups run in this process.  The pool joins every
-    worker before this returns or raises, and a worker's ``ConfigError``
-    re-raises here unchanged.  ``simulate`` and ``verify`` stay in one
-    process.
+    group (about 0.1 s at N = 4, t_end 50).  With one worker, where fork is
+    unavailable, or where the pool cannot start its workers or loses one,
+    the groups run in this process.  The pool joins every worker before this
+    returns or raises, and a worker's ``ConfigError`` re-raises here
+    unchanged.  ``simulate`` and ``verify`` stay in one process.
     """
     import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     groups: dict[tuple[int, float, str, float], list[tuple[str, str]]] = {}
     for column, (state, key) in series.items():
@@ -371,11 +362,20 @@ def _run_grouped(series: Series, t_end: float, si: float) -> dict[str, RunResult
     ]
     names = [[state for _, state in members] for members in groups.values()]
     workers = min(len(groups), _max_workers())
+    batches = None
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            batches = list(pool.map(run_states, configs, names))
-    else:
+        before = set(multiprocessing.active_children())
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                batches = list(pool.map(run_states, configs, names))
+        except (OSError, BrokenProcessPool):
+            # a fork that fails after others succeeded leaves their workers
+            # waiting for work the pool never sends
+            for worker in set(multiprocessing.active_children()) - before:
+                worker.terminate()
+                worker.join()
+    if batches is None:
         batches = list(map(run_states, configs, names))
     return {
         column: run
@@ -429,14 +429,19 @@ def _check_output(path: Path) -> None:
 
 
 def write_figure(name: str, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write a figure's CSV and plot script; only a failed write of the
+    output directory or files is an output error."""
     csv_path, plot_path = out_dir / f"{name}.csv", out_dir / f"{name}_plot.py"
-    _check_output(csv_path)
-    _check_output(plot_path)
+    with _refused("cannot write output: ", OSError):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _check_output(csv_path)
+        _check_output(plot_path)
     text = run_eta_figure(name) if name.startswith("fig4") else run_time_figure(name)
-    csv_path.write_text(text)
     xlabel = text[: text.index(",")]  # the CSV's first column, t or eta
-    plot_path.write_text(_PLOT_TEMPLATE.format(csv_name=csv_path.name, xlabel=xlabel, stem=name))
+    plot = _PLOT_TEMPLATE.format(csv_name=csv_path.name, xlabel=xlabel, stem=name)
+    with _refused("cannot write output: ", OSError):
+        csv_path.write_text(text)
+        plot_path.write_text(plot)
     return csv_path
 
 
@@ -593,9 +598,7 @@ def simulate(config_path: str, baseline_frame: bool) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def figure(name: str, out_dir: str) -> None:
     """Reproduce one of the named figure datasets (CSV + plot script)."""
-    with _refused("cannot write output: ", OSError):
-        path = write_figure(name, Path(out_dir))
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {write_figure(name, Path(out_dir))}")
 
 
 @main.command("baseline")
@@ -639,7 +642,6 @@ def verify() -> None:
 def dump_generator(config_path: str, dump_full: bool) -> None:
     """Print the assembled generator entries in the debug text format."""
     cfg = _read_config(config_path)
-    _check_generator_size(cfg.n_qubits)
     _, params = config_params(cfg)
     with _refused():  # the trace or finite-entry check of the generator
         g = assemble(params, SECTORS_FULL if dump_full else SECTORS_REDUCED)

@@ -57,13 +57,13 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         n = self.n_qubits
-        if n < 1:
-            raise ValueError("n_qubits must be >= 1")
-        for name in ("omega", "epsilon", "gamma0", "delta_gamma"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} must have length {n}")
-        if len(self.j_coupling) != n - 1:
-            raise ValueError(f"j_coupling must have length {n - 1}")
+        if n < 2:
+            raise ValueError("n_qubits: must be >= 2")
+        lengths = {"omega": n, "epsilon": n, "gamma0": n, "delta_gamma": n, "j_coupling": n - 1}
+        for name, want in lengths.items():
+            got = len(getattr(self, name))
+            if got != want:
+                raise ValueError(f"{name}: expected length {want}, got {got}")
         if not self.left_barrier or not self.right_barrier:
             raise ValueError("both barriers need at least one qubit")
         if self.left_barrier & self.right_barrier:
@@ -97,7 +97,7 @@ class ModelParams:
         left barrier and the upper half to the right one, matching the serial
         detector geometry (for N=2: one qubit per barrier).
         """
-        n = n_qubits
+        n = max(n_qubits, 0)  # sizes the tuples; __post_init__ refuses n_qubits < 2
         eps = (
             tuple(float(e) for e in epsilon)
             if isinstance(epsilon, Iterable)
@@ -112,7 +112,7 @@ class ModelParams:
             left_barrier = range(1, n // 2 + 1)
             right_barrier = range(n // 2 + 1, n + 1)
         return cls(
-            n_qubits=n,
+            n_qubits=n_qubits,
             omega=(float(omega),) * n,
             epsilon=eps,
             j_coupling=jc,
@@ -135,9 +135,10 @@ def apply_scenario(base: ModelParams, name: str, eta: float) -> ModelParams:
     replacement.
     """
     if name not in CASE_AFFECTED:
-        raise ValueError(f"unknown scenario {name!r}; expected one of {tuple(CASE_AFFECTED)}")
+        names = ", ".join(CASE_AFFECTED)
+        raise ValueError(f"scenario: unknown scenario {name!r}; expected one of {names}")
     if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+        raise ValueError(f"eta: must lie in [0, 1), got {eta}")
     affected = CASE_AFFECTED[name]
     if affected and max(affected) > base.n_qubits:
         raise ValueError(

@@ -110,11 +110,24 @@ class TestConfigParsing:
         assert base.omega[2] == pytest.approx(2.0)
 
     def test_invalid_scenario_for_n2(self):
-        cfg = parse_config('{"n_qubits": 2, "state": "bell-a", "scenario": "case_iii", "eta": 0.05}')
-        from qdfsim.cli import config_params
+        with pytest.raises(ConfigError) as refused:
+            parse_config('{"n_qubits": 2, "state": "bell-a", "scenario": "case_iii", "eta": 0.05}')
+        assert refused.value.message == "scenario affects qubit 4 but model has 2 qubits"
 
-        with pytest.raises(ConfigError):
-            config_params(cfg)
+    @pytest.mark.parametrize(
+        "field, reason",
+        [
+            ('"primed_scale": 0', "primed_scale must be positive"),
+            ('"scenario": "case_iii"', "scenario affects qubit 4 but model has 2 qubits"),
+            ('"barriers": {"left": [1, 2]}', "both barriers need at least one qubit"),
+        ],
+        ids=["primed_scale", "case_iii_n2", "one_sided_barriers"],
+    )
+    def test_model_rules_refused_when_read(self, field, reason):
+        # the model's rules refuse the config as it is read, before any run
+        with pytest.raises(ConfigError) as refused:
+            parse_config(f'{{"n_qubits": 2, "state": "bell-b", {field}}}')
+        assert refused.value.message == reason
 
 
 class TestRunSingle:
@@ -643,7 +656,8 @@ class TestCommands:
 _N2 = '{"n_qubits": 2, "state": "bell-b", '
 _BASELINE = ["baseline", "--state", "bell-b", "--gamma-d", "0.3"]
 
-# One row for each place where cli turns an expected error into exit 2: the
+# One row for each place where cli turns an expected error into exit 2, and
+# one for each model rule that refuses a config as it is read: the
 # arguments, the bytes of the config file at {cfg} (a file in the test's
 # directory {tmp}) and the one line printed.
 REFUSALS = {
@@ -668,6 +682,46 @@ REFUSALS = {
         ["simulate", "--config", "{cfg}"],
         (_N2 + '"barriers": {"left": [1, 2]}}').encode(),
         "both barriers need at least one qubit",
+    ),
+    "n_qubits": (
+        ["simulate", "--config", "{cfg}"],
+        b'{"n_qubits": 1, "state": "psi1"}',
+        "n_qubits: must be >= 2",
+    ),
+    "epsilon_length": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"epsilon": [0.1]}').encode(),
+        "epsilon: expected length 2, got 1",
+    ),
+    "j_coupling_length": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"j_coupling": [0.1, 0.2]}').encode(),
+        "j_coupling: expected length 1, got 2",
+    ),
+    "eta_range": (
+        ["simulate", "--config", "{cfg}"],
+        b'{"scenario": "case_i", "eta": 1.2}',
+        "eta: must lie in [0, 1), got 1.2",
+    ),
+    "scenario_name": (
+        ["simulate", "--config", "{cfg}"],
+        b'{"scenario": "case_iv"}',
+        "scenario: unknown scenario 'case_iv'; expected one of uniform, case_i, case_ii, case_iii",
+    ),
+    "primed_scale": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"primed_scale": 0}').encode(),
+        "primed_scale must be positive",
+    ),
+    "zeta_above": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"zeta": 1.5}').encode(),
+        "zeta: must lie in [0, 1), got 1.5",
+    ),
+    "zeta_below": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"zeta": -0.1}').encode(),
+        "zeta: must lie in [0, 1), got -0.1",
     ),
     "state": (
         ["simulate", "--config", "{cfg}"],
@@ -844,6 +898,36 @@ class TestGroupPool:
         assert messages[0] == messages[1]
         assert messages[0].startswith("state: ")
 
+    @pytest.mark.parametrize("forks", [0, 1], ids=["no_worker", "one_worker"])
+    def test_pool_that_cannot_start_runs_in_process(self, monkeypatch, tmp_path, forks):
+        # fork fails at once, or after one worker has started: the figure is
+        # written from this process, with its bytes, and no worker is left
+        import multiprocessing
+
+        from qdfsim import cli
+
+        self._workers(monkeypatch, 1)
+        one = cli.write_figure("fig2", tmp_path / "one").parent
+        fork = os.fork
+        calls = []
+
+        def failing_fork():
+            calls.append(None)
+            if len(calls) > forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        self._workers(monkeypatch, 2)
+        result = CliRunner().invoke(main, ["figure", "fig2", "--out", str(tmp_path / "pool")])
+        left = multiprocessing.active_children()
+        for worker in left:  # a worker left waiting would hang the test run at exit
+            worker.terminate()
+        assert result.exit_code == 0, result.output
+        assert len(calls) == forks + 1 and left == []
+        for name in ("fig2.csv", "fig2_plot.py"):
+            assert (tmp_path / "pool" / name).read_bytes() == (one / name).read_bytes()
+
 
 def _cli_import_loads(module: str) -> bool:
     """Whether ``import qdfsim.cli`` in a fresh interpreter loads ``module``."""
@@ -992,7 +1076,9 @@ def test_simulate_exit_contract(cfg):
 
 @st.composite
 def _valid_configs(draw) -> RunConfig:
-    """A run configuration parse_config accepts, with every field drawn."""
+    """A run configuration of the right types, in the config's own ranges and
+    on a dividing grid, with every field drawn; the model may still refuse it
+    (a non-positive primed_scale, or a case whose qubits N lacks)."""
     n = draw(st.integers(2, 4))
     numbers = st.floats(-1e6, 1e6)
     scenario = draw(st.sampled_from(sorted(CASE_AFFECTED)))
@@ -1050,7 +1136,19 @@ def _wrong_types(field: str, n: int) -> list[tuple[object, str]]:
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(cfg=_valid_configs())
 def test_config_schema_round_trip(cfg):
-    assert parse_config(json.dumps(dataclasses.asdict(cfg))) == cfg
+    """A config the model accepts round-trips; one it refuses is refused as
+    it is read, with the model's message."""
+    from qdfsim.cli import config_params
+
+    text = json.dumps(dataclasses.asdict(cfg))
+    try:
+        config_params(cfg)
+    except ConfigError as model_refused:
+        with pytest.raises(ConfigError) as refused:
+            parse_config(text)
+        assert refused.value.message == model_refused.message
+    else:
+        assert parse_config(text) == cfg
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])

@@ -144,10 +144,16 @@ class TestModelParams:
             ModelParams.uniform(2, zeta=1.0)
 
     def test_list_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^epsilon: expected length 4, got 2$"):
             ModelParams.uniform(4, epsilon=[0.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^j_coupling: expected length 3, got 1$"):
             ModelParams.uniform(4, j_coupling=[0.0])
+
+    @pytest.mark.parametrize("n", [1, 0, -(10**300)])
+    def test_at_least_two_qubits(self, n):
+        # a count too negative to size a tuple gets the same refusal
+        with pytest.raises(ValueError, match=r"^n_qubits: must be >= 2$"):
+            ModelParams.uniform(n)
 
     def test_primed_scale_positive(self):
         with pytest.raises(ValueError):
