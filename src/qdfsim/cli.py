@@ -577,9 +577,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option(
-    "--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False)
-)
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option(
     "--baseline-frame",
     is_flag=True,
@@ -595,7 +593,7 @@ def simulate(config_path: str, baseline_frame: bool) -> None:
 
 @main.command()
 @click.argument("name", type=click.Choice(FIGURES))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
+@click.option("--out", "out_dir", required=True, type=click.Path())
 def figure(name: str, out_dir: str) -> None:
     """Reproduce one of the named figure datasets (CSV + plot script)."""
     click.echo(f"wrote {write_figure(name, Path(out_dir))}")
@@ -606,7 +604,7 @@ def figure(name: str, out_dir: str) -> None:
 @click.option("--gamma-d", type=float, required=True)
 @click.option("--t-end", type=float, default=50.0, show_default=True)
 @click.option("--sample-interval", type=float, default=0.1, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", "out_path", type=click.Path(), default=None)
 def baseline_cmd(
     state_name: str, gamma_d: float, t_end: float, sample_interval: float, out_path: str | None
 ) -> None:
@@ -635,9 +633,7 @@ def verify() -> None:
 
 
 @main.command("dump-generator")
-@click.option(
-    "--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False)
-)
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--full", "dump_full", is_flag=True, help="Dump the four-sector generator.")
 def dump_generator(config_path: str, dump_full: bool) -> None:
     """Print the assembled generator entries in the debug text format."""

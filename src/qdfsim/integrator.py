@@ -290,6 +290,16 @@ def _rk4_power(h: np.ndarray, dt: float, m: int) -> np.ndarray:
     return power
 
 
+def _norm(w: np.ndarray) -> float:
+    """|w|; where ``w @ w`` overflows, the norm of w scaled exactly by a power of two."""
+    square = w @ w
+    if math.isfinite(square):
+        return math.sqrt(square)
+    _, e = math.frexp(float(np.abs(w).max()))
+    scaled = np.ldexp(w, -e)
+    return float(np.ldexp(math.sqrt(scaled @ scaled), e))
+
+
 def _arnoldi(
     l_r: sp.csr_matrix, x: np.ndarray, basis: np.ndarray
 ) -> tuple[float, np.ndarray, float]:
@@ -302,9 +312,11 @@ def _arnoldi(
     k up to the number of rows.  Returns (|x|, h, h[k, k-1]).  The last is
     0.0 when the space closed, where the projection is exact: at the full
     dimension, or on a breakdown, when what is left of ``L_r v_k`` is
-    rounding.  Exact zeros in
-    L_r leave about 1e-31 of it, not 0, and a vector made from that would be
-    noise.
+    rounding.  Exact zeros in L_r leave about 1e-31 of it, not 0, and a
+    vector made from that would be noise.  Norms are taken by :func:`_norm`:
+    past |L_r v_k| of about 1.3e154 the square overflows, and an infinite
+    norm would read as rounding (inf <= eps * inf) and close the space after
+    one vector.
     """
     scale = float(np.abs(x).max())
     basis[0] = x / scale  # |x| itself may overflow while x does not
@@ -314,12 +326,12 @@ def _arnoldi(
     h = np.zeros((cap, cap))
     for k in range(1, cap + 1):
         w = l_r @ basis[k - 1]
-        product = h_next = math.sqrt(w @ w)
+        product = h_next = _norm(w)
         for _ in range(2):
             c = basis[:k] @ w
             w -= c @ basis[:k]
             h[:k, k - 1] += c
-            norm, h_next = h_next, math.sqrt(w @ w)
+            norm, h_next = h_next, _norm(w)
             if h_next >= norm * _DGKS:
                 break
         if h_next <= _EPS * product or k == len(w):

@@ -11,16 +11,21 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdfsim.analysis import fidelity_series, rotation_frequencies
 from qdfsim.cli import (
     ConfigError,
     RunConfig,
+    config_params,
     execute_run,
     main,
     parse_config,
+    reduced_generator,
     run_single_csv,
 )
+from qdfsim.integrator import evolve_expm
 from qdfsim.liouvillian import SECTORS_FULL, SECTORS_REDUCED
 from qdfsim.model import CASE_AFFECTED
+from qdfsim.states import state_by_name, to_density
 
 TINY_N2 = json.dumps(
     {
@@ -196,10 +201,9 @@ class TestCommands:
     def test_config_directory_exit_two(self, tmp_path, command):
         result = CliRunner().invoke(main, [command, "--config", str(tmp_path)])
         assert result.exit_code == 2
-        assert "Traceback" not in result.output
-        assert result.output.strip().splitlines()[-1] == (
-            f"Error: Invalid value for '--config': File '{tmp_path}' is a directory."
-        )
+        assert result.output.splitlines() == [
+            f"Error: cannot read config {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+        ]
 
     @pytest.mark.parametrize("command", ["simulate", "dump-generator"])
     def test_config_not_utf8_exit_two(self, tmp_path, command):
@@ -323,6 +327,27 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         f = np.array([float(row.split(",")[1]) for row in result.output.splitlines()[1:]])
         assert len(f) == 5 and np.abs(f - 1.0).max() <= 1e-9
+
+    def test_krylov_route_past_float_range(self, tmp_path):
+        # the same frame at N = 4, which takes the Krylov route: |L_r v| passes
+        # 1e154, where (L_r v)^2 overflows, and F follows the exact exponential
+        text = (
+            '{"n_qubits": 4, "state": "psi2", "omega": 1e200, '
+            '"epsilon": [3e199, -2e199, 1e199, 5e198], "t_end": 4e-200, "dt": 1e-203, '
+            '"sample_interval": 1e-200}'
+        )
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(text)
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_file)])
+        assert result.exit_code == 0, result.output
+        rows = np.array([row.split(",")[:2] for row in result.output.splitlines()[1:]], float)
+        _, params = config_params(parse_config(text))
+        amps = state_by_name("psi2", 4)
+        v0 = to_density(amps).flatten(SECTORS_REDUCED)
+        g = reduced_generator(params)
+        exact = np.array([evolve_expm(g, v0, t) for t in rows[:, 0]])
+        f = fidelity_series(rows[:, 0], exact, amps, rotation_frequencies(params))
+        assert len(rows) == 5 and np.abs(rows[:, 1] - f).max() <= 1e-9
 
     def test_baseline_command(self):
         result = CliRunner().invoke(
@@ -656,8 +681,9 @@ class TestCommands:
 _N2 = '{"n_qubits": 2, "state": "bell-b", '
 _BASELINE = ["baseline", "--state", "bell-b", "--gamma-d", "0.3"]
 
-# One row for each place where cli turns an expected error into exit 2, and
-# one for each model rule that refuses a config as it is read: the
+# One row for each place where cli turns an expected error into exit 2, one
+# for each model rule that refuses a config as it is read, and one for each
+# config or output path that cannot be read or written: the
 # arguments, the bytes of the config file at {cfg} (a file in the test's
 # directory {tmp}) and the one line printed.
 REFUSALS = {
@@ -754,6 +780,32 @@ REFUSALS = {
         b"",
         "cannot write output: [Errno 20] Not a directory: '{cfg}/sub'",
     ),
+    "config_missing": (
+        ["simulate", "--config", "{tmp}/missing.json"],
+        b"",
+        "cannot read config {tmp}/missing.json: [Errno 2] No such file or directory: "
+        "'{tmp}/missing.json'",
+    ),
+    "config_directory": (
+        ["simulate", "--config", "{tmp}"],
+        b"",
+        "cannot read config {tmp}: [Errno 21] Is a directory: '{tmp}'",
+    ),
+    "dump_config_directory": (
+        ["dump-generator", "--config", "{tmp}"],
+        b"",
+        "cannot read config {tmp}: [Errno 21] Is a directory: '{tmp}'",
+    ),
+    "figure_output_file": (
+        ["figure", "fig2", "--out", "{cfg}"],
+        b"",
+        "cannot write output: [Errno 17] File exists: '{cfg}'",
+    ),
+    "baseline_output_directory": (
+        _BASELINE + ["--out", "{tmp}"],
+        b"",
+        "cannot write output: [Errno 21] Is a directory: '{tmp}'",
+    ),
     "baseline_grid": (
         _BASELINE + ["--t-end", "1", "--sample-interval", "0.3"],
         b"",
@@ -784,7 +836,11 @@ def test_refusal_lines(tmp_path, args, config, line):
 class TestFigures:
     def test_figure_command_rejects_unknown_name(self, tmp_path):
         result = CliRunner().invoke(main, ["figure", "fig9", "--out", str(tmp_path)])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            "Error: Invalid value for '{fig2|fig3a|fig3b|fig4a|fig4b}': 'fig9' is not one of "
+            "'fig2', 'fig3a', 'fig3b', 'fig4a', 'fig4b'."
+        )
 
     def test_figure_command_writes_csv_and_plot_script(self, tmp_path):
         result = CliRunner().invoke(main, ["figure", "fig2", "--out", str(tmp_path)])

@@ -479,6 +479,39 @@ class TestKrylovRoute:
         assert np.isfinite(collect(evolve_rk4, g, v0, t_end, 1e-3, 0.5).states).all()
 
 
+class TestTimeUnit:
+    """RK4 depends on dt and L only through dt L: L scaled by 2^600 with the
+    grid divided by 2^600 is the same scheme, exactly.  At that scale
+    |L_r v| passes 1e154, where (L_r v)^2 overflows."""
+
+    SCALE = 2.0**600
+
+    def _scaled(self, g, v0, t_end, dt, interval):
+        s = self.SCALE
+        big = Generator(g.n_qubits, g.sectors, g.csr * s)
+        with np.errstate(over="ignore"):
+            return collect(evolve_rk4, big, v0, t_end / s, dt / s, interval / s).states
+
+    @pytest.mark.parametrize("t_end", [1.0, 5.0], ids=["stepwise", "dense"])
+    def test_small_routes_bit_for_bit(self, t_end):
+        _, g, _, v0 = bell_setup()
+        unscaled = collect(evolve_rk4, g, v0, t_end, 1e-3, 0.5).states
+        assert np.array_equal(self._scaled(g, v0, t_end, 1e-3, 0.5), unscaled)
+
+    def test_krylov_route(self):
+        # fig3b's case-ii group over 3 samples of 100 steps; the walk's
+        # acceptance estimate grows with the scale of L, so it restarts more
+        # often and is not bit for bit
+        p = apply_scenario(ModelParams.uniform(4, zeta=0.2), "case_ii", 0.05)
+        g = assemble(p, SECTORS_REDUCED)
+        v0 = np.stack(
+            [to_density(state_by_name(s, 4)).flatten(SECTORS_REDUCED) for s in DF4_NAMES],
+            axis=1,
+        )
+        unscaled = collect(evolve_rk4, g, v0, 0.3, 1e-3, 0.1).states
+        assert np.abs(self._scaled(g, v0, 0.3, 1e-3, 0.1) - unscaled).max() <= 1e-12
+
+
 def _arnoldi_defects(l_r: sp.csr_matrix, x: np.ndarray, cap: int) -> tuple[int, float, float]:
     """(k, max|V V^T - I|, relative defect of L_r V^T = V^T H) of a fresh
     basis of at most ``cap`` vectors from x; the relation is checked on the
