@@ -194,9 +194,9 @@ def _first_breach(
     """(index, description) of the first sample that is not finite or leaves
     [lo, hi], or None.
 
-    A stable, accurate RK4 run keeps these bounds to rounding, so a breach
-    means ``dt`` lies outside the stability region of the generator, or that
-    RK4's truncation error at a stable ``dt`` carries a sample out of bounds.
+    A breach means ``dt`` lies outside the stability region of the generator,
+    or that at a stable ``dt`` RK4's truncation error, or from about 1e8 steps
+    on the rounding that each step adds, carries a sample out of bounds.
     """
     bad = np.argwhere(~(np.isfinite(values) & (values >= lo) & (values <= hi)))
     if not len(bad):
@@ -421,11 +421,11 @@ plt.savefig(Path(__file__).parent / "{stem}.png", dpi=200)
 
 
 def _check_output(path: Path) -> None:
-    """Refuse, before anything is computed, an output file that cannot be written."""
-    if not path.parent.is_dir():
-        raise ConfigError(f"cannot write output: {path.parent} is not a directory")
-    if path.is_dir():
-        raise ConfigError(f"cannot write output: {path} is a directory")
+    """Refuse, before anything is computed, an output path that lies under no
+    directory or names one: there the write always fails, and its error says why."""
+    with _refused("cannot write output: ", (OSError, ValueError)):
+        if not path.parent.is_dir() or path.is_dir():
+            path.write_text("")
 
 
 def write_figure(name: str, out_dir: Path) -> Path:
@@ -566,7 +566,7 @@ def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
         click.echo(text, nl=False)
         return
-    with _refused("cannot write output: ", OSError):
+    with _refused("cannot write output: ", (OSError, ValueError)):  # a NUL: ValueError
         Path(out_path).write_text(text)
     click.echo(f"wrote {out_path}")
 

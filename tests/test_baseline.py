@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,16 @@ def fidelity_oracle(amps: np.ndarray, gamma_d: float, times: np.ndarray) -> np.n
     return np.array([np.trace(rho0 @ channel_oracle(rho0, gamma_d, t)).real for t in times])
 
 
+def coherence_weights_oracle(amps: np.ndarray, gamma_d: float, times: np.ndarray) -> np.ndarray:
+    """F(t) from the weights W_m summed over all 4^N coherences |rho(0)[z1, z2]|^2,
+    grouped by the half-difference m of their total spins."""
+    n = len(amps).bit_length() - 1
+    s = 2 * np.array([bin(z).count("1") for z in range(2**n)]) - n
+    m = np.abs(s[:, None] - s[None, :]) // 2
+    w = np.bincount(m.ravel(), weights=np.abs(np.outer(amps, amps.conj())).ravel() ** 2)
+    return sum(w[k] * np.exp(-0.5 * gamma_d * times * (2 * k) ** 2) for k in range(len(w)))
+
+
 def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
@@ -50,6 +61,39 @@ class TestChannel:
                 amps = random_state(rng, n)
                 got = baseline_fidelity(amps, gamma, TIMES)
                 assert np.abs(got - fidelity_oracle(amps, gamma, TIMES)).max() < 1e-14
+
+    def test_matches_coherence_weights(self):
+        # the total-spin populations give the weights the coherences give
+        rng = np.random.default_rng(29)
+        for n in range(1, 10):
+            for gamma in (0.3, 2.5):
+                for _ in range(3):
+                    amps = random_state(rng, n)
+                    got = baseline_fidelity(amps, gamma, TIMES)
+                    assert np.abs(got - coherence_weights_oracle(amps, gamma, TIMES)).max() < 1e-14
+
+    def test_memory_grows_with_the_amplitudes_only(self):
+        # at 12 qubits the 4^N coherences alone would take 256 MiB
+        amps = random_state(np.random.default_rng(12), 12)
+        tracemalloc.start()
+        try:
+            baseline_fidelity(amps, 0.3, TIMES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_fifteen_qubit_ghz_command(self):
+        # (|0...0> + |1...1>)/sqrt(2): only the coherence between total spins
+        # -15 and +15 decays, at gamma (2N)^2 / 2
+        n, gamma = 15, 0.001
+        spec = "custom:" + ",".join(["1"] + ["0"] * (2**n - 2) + ["1"])
+        args = ["baseline", "--state", spec, "--gamma-d", str(gamma), "--t-end", "1"]
+        result = CliRunner().invoke(main, [*args, "--sample-interval", "0.5"])
+        assert result.exit_code == 0, result.output
+        rows = np.array([row.split(",") for row in result.stdout.splitlines()[1:]], float)
+        closed = 0.5 * (1.0 + np.exp(-0.5 * gamma * rows[:, 0] * (2 * n) ** 2))
+        assert len(rows) == 3 and np.abs(rows[:, 1] - closed).max() < 1e-12
 
     def test_damping_factors_in_unit_interval(self):
         # every factor lies in (0, 1] and the diagonal's is 1, so F stays
