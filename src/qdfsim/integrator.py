@@ -91,9 +91,9 @@ _DGKS = 1 / math.sqrt(2)
 _MAX_SAMPLES = 100_000
 # Largest block of complex samples a sink receives, in bytes (at least one
 # sample).  A run holds one block, so this bounds its sample memory: a
-# fig-style N = 5 run peaks at 5.5 MiB of traced allocations, against 9.5 MiB
+# fig-style N = 5 run peaks at 4.8 MiB of traced allocations, against 8.9 MiB
 # with 4 MiB blocks.  Below 1 MiB the generator build and the Krylov loop set
-# the peak (4.8 MiB with 512 KiB blocks).  The CPU time of a fig3b group
+# the peak (4.1 MiB with 512 KiB blocks).  The CPU time of a fig3b group
 # (three columns, 501 samples, 18 blocks) reads 0.23 s at both 4 and 1 MiB,
 # and 0.27 s at 512 KiB, with overlapping quartiles.
 _BLOCK_BYTES = 2**20
@@ -115,7 +115,7 @@ class RealForm:
 
     s: sp.csr_matrix
     s_inv: sp.csr_matrix
-    l_r: sp.csr_matrix  # Re(S L S^-1), float64
+    l_r: sp.csr_matrix  # Re(S L S^-1), float64 with contiguous data
     imag_residual: float  # max|Im S L S^-1| / max|L|
 
 
@@ -146,7 +146,10 @@ def real_form(g: Generator) -> RealForm:
     l_c = (s @ g.csr @ s_inv).tocsr()
     scale = np.abs(g.csr.data).max(initial=0.0)
     imag = np.abs(l_c.data.imag).max(initial=0.0)
-    l_r = sp.csr_matrix(l_c.real)
+    # l_c.real would view the complex data at a stride of 16 bytes, which
+    # every sparse product then copies; own contiguous values instead
+    values = np.ascontiguousarray(l_c.data.real)
+    l_r = sp.csr_matrix((values, l_c.indices, l_c.indptr), shape=l_c.shape)
     l_r.eliminate_zeros()
     return RealForm(s, s_inv, l_r, imag / scale if scale > 0.0 else 0.0)
 
@@ -228,10 +231,13 @@ def _samples(
         finite = np.isfinite(x)
         if not finite.all():
             sink(times[start:i], block[: i - start])
-            peak = float(np.abs(x[finite]).max()) if finite.any() else float("nan")
+            largest = (
+                f"largest finite entry {np.abs(x[finite]).max():.3e}"
+                if finite.any()
+                else "no entry is finite"
+            )
             raise FloatingPointError(
-                f"integration produced a non-finite value at step {i * steps_per_sample}; "
-                f"largest finite entry {peak:.3e}"
+                f"integration produced a non-finite value at step {i * steps_per_sample}; {largest}"
             )
         if i - start == len(block):
             sink(times[start:i], block)

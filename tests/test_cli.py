@@ -762,6 +762,13 @@ REFUSALS = {
         "dt=0.5 is unstable for this run: integration produced a non-finite value at step 1; "
         "largest finite entry 2.092e+298",
     ),
+    # every entry of the sample has overflowed, so none can be quoted
+    "rk4_overflow_everywhere": (
+        ["simulate", "--config", "{cfg}"],
+        (_N2 + '"epsilon": [1e150, 0], "t_end": 0.2}').encode(),
+        "dt=0.001 is unstable for this run: integration produced a non-finite value at "
+        "step 100; no entry is finite",
+    ),
     "emit_output": (
         _BASELINE + ["--out", "{tmp}/missing/x.csv"],
         b"",
@@ -890,13 +897,14 @@ def test_short_horizon_figure_bytes(name):
     assert run(name, t_end=1.0) == golden.read_text()
 
 
-def test_krylov_run_bytes():
-    # a seeded N = 5 run of complex amplitudes with bias and coupling takes
-    # the Krylov route; its simulate CSV is checked in beside its config
+@pytest.mark.parametrize("name", ["custom_n5_t1", "custom_n6_t1"])
+def test_krylov_run_bytes(name):
+    # a seeded N = 5 or 6 run of complex amplitudes with bias and coupling
+    # takes the Krylov route; its simulate CSV is checked in beside its config
     data = Path(__file__).parent / "data"
-    result = CliRunner().invoke(main, ["simulate", "--config", str(data / "custom_n5_t1.json")])
+    result = CliRunner().invoke(main, ["simulate", "--config", str(data / f"{name}.json")])
     assert result.exit_code == 0, result.output
-    assert result.output == (data / "custom_n5_t1.csv").read_text()
+    assert result.output == (data / f"{name}.csv").read_text()
 
 
 class TestGroupPool:

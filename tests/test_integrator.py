@@ -111,7 +111,7 @@ class TestSampling:
     def test_run_memory_is_bounded(self):
         # the fig-style N = 5 run above, through execute_run, traces at most
         # 7 MiB: the build, the Krylov loop, one sample block and the
-        # reduction's block-sized temporaries (5.5 MiB; 9.5 MiB with 4 MiB
+        # reduction's block-sized temporaries (4.8 MiB; 8.9 MiB with 4 MiB
         # blocks).  A run that kept its samples or copies of its generator
         # would fail it.
         cfg = RunConfig(
@@ -259,6 +259,8 @@ class TestRealForm:
         rf = real_form(g)
         assert rf.imag_residual <= REAL_FORM_TOL
         assert rf.l_r.dtype == np.float64
+        # sparse products would copy values read at a stride on every call
+        assert rf.l_r.data.flags.c_contiguous
         # L_r reproduces L through the maps: S^-1 L_r S = L to rounding
         back = (rf.s_inv @ rf.l_r @ rf.s).toarray()
         assert np.abs(back - g.csr.toarray()).max() <= 1e-14 * np.abs(g.csr.data).max()
